@@ -16,6 +16,7 @@ from .field import (
     squares,
 )
 from .graphs import Graph
+from .quotients import permutation_orbits, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +161,6 @@ class CosetSpace:
     suborbits: tuple
     labels: tuple = None
 
-    def suborbit_of(self, point):
-        return next(s for s in self.suborbits if point in s.points)
-
-
-def _perm_orbits(n, perms):
-    seen = [False] * n
-    orbits = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orbit = [v]
-        seen[v] = True
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for perm in perms:
-                y = perm[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    stack.append(y)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
 
 def _invert(perm):
     inv = [0] * len(perm)
@@ -222,7 +199,7 @@ def action_space(n, base, gens, stab_gens, labels=None):
             x = inv_gens[gi][x]
         return x
 
-    orbits = sorted(_perm_orbits(n, stab_gens))
+    orbits = [tuple(sorted(o)) for o in permutation_orbits(*stab_gens)]
     where = {}
     for i, orbit in enumerate(orbits):
         for v in orbit:
@@ -460,7 +437,7 @@ def dihedral_model(p):
         names[name] = by_points[key]
     assert len(names) == len(space.suborbits)
     orbits = {}
-    for orbit in _perm_orbits(len(labels), [rho]):
+    for orbit in map(tuple, permutation_orbits(rho)):
         if 0 in orbit:
             orbits[INF] = orbit
         else:
@@ -591,7 +568,6 @@ def dihedral_row_data(model, row, xi=None):
 
 def empirical_row_data(model, row, union, quot=None):
     """The same quotient data read off the constructed orbital graph."""
-    from .quotients import quotient
     if quot is None:
         g = orbital_graph(model.space, union)
         quot = quotient(g, list(model.rho))
@@ -605,9 +581,9 @@ def empirical_row_data(model, row, union, quot=None):
     xs = sorted(x for x in model.orbits if x != INF)
     return RowData(
         row,
-        quot.d_in[bidx[INF]],
+        quot.d(bidx[INF], bidx[INF]),
         {x: quot.d(bidx[INF], bidx[x]) for x in xs},
-        {y: quot.d_in[bidx[y]] for y in xs},
+        {y: quot.d(bidx[y], bidx[y]) for y in xs},
         {(y, x): quot.d(bidx[y], bidx[x]) for y in xs for x in xs if y < x},
     )
 
@@ -703,10 +679,6 @@ class OmegaModel:
     rho: tuple
     norm_gens: tuple
 
-    @property
-    def index(self):
-        return {x: i for i, x in enumerate(self.points)}
-
 
 def _form(x, y, q, theta):
     return (x[1] * y[0] + x[0] * y[1] - 2 * x[2] * y[2]
@@ -800,7 +772,7 @@ def omega_model(q):
     rho = perm_of((one, one, zero, one))
     delta = perm_of((alpha, zero, zero, QuadExt(q, theta).inv(alpha)))
     tau = perm_of((one, alpha, zero, one))
-    blocks = tuple(_perm_orbits(len(points), [rho]))
+    blocks = tuple(map(tuple, permutation_orbits(rho)))
     inner = tuple(a for a, blk in enumerate(blocks)
                   if all(points[v][1] == 0 for v in blk))
     outer = tuple(a for a in range(len(blocks)) if a not in inner)
@@ -835,7 +807,6 @@ class OmegaBlockStats:
 
 
 def omega_block_valencies(model, lam):
-    from .quotients import quotient
     g = omega_graph(model, lam)
     quot = quotient(g, list(model.rho))
     order = {v: a for a, blk in enumerate(quot.orbits) for v in blk}
@@ -844,7 +815,7 @@ def omega_block_valencies(model, lam):
     outer = [remap[a] for a in model.outer_blocks]
     q = model.q
     eps = 2 if q % 8 in (1, 3) else 0
-    inner_val = {a: quot.d_in[a] for a in outer}
+    inner_val = {a: quot.d(a, a) for a in outer}
     cross = {(a, b): quot.d(a, b) for a in inner for b in outer}
     b0 = outer[0]
     singles = sum(1 for b in outer if b != b0 and quot.d(b0, b) == 1)

@@ -30,10 +30,10 @@ from .engine import (
     prove,
     survey,
 )
-from .families import parse_family_spec
+from .families import MetacirculantSpec, parse_family_spec
 from .field import is_prime
 from .graphs import format_dot, format_edge_list
-from .quotients import format_symbol, quotient, symbol
+from .quotients import format_symbol, quotient
 from .residues import exceptional_table, quartic_exceptions, render_table
 
 DEFAULT_BUDGET = 10 ** 7
@@ -64,7 +64,7 @@ def _descriptor(args, parser):
         path = need("spec", args.spec)
         with open(path) as fh:
             spec = parse_family_spec(fh.read())
-        got = "metacirculant" if type(spec).__name__ == "MetacirculantSpec" \
+        got = "metacirculant" if isinstance(spec, MetacirculantSpec) \
             else "fermat"
         if got != fam:
             parser.error("spec file describes a %s, not a %s" % (got, fam))
@@ -158,11 +158,15 @@ def _cmd_quotient(args, parser):
         print("no semiregular automorphism available for %s" % desc,
               file=sys.stderr)
         return 1
-    q = quotient(g, rho)
-    sym = symbol(g, rho)
+    try:
+        q = quotient(g, rho)
+    except ValueError:
+        print("the automorphism of %s is not semiregular" % desc,
+              file=sys.stderr)
+        return 1
     out = ["orbits=%d orbit_length=%d" % (q.m, q.n),
            "d_in=%s" % ",".join(map(str, q.d_in)),
-           "symbol:", format_symbol(sym)]
+           "symbol:", format_symbol(q.symbol)]
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 
@@ -190,8 +194,6 @@ def _cmd_hamilton(args, parser):
 
 def _cmd_survey(args, parser):
     rows = survey(args.max_order, budget=args.budget)
-    if args.jobs != 1:
-        pass  # certification is sequential; --jobs kept for compatibility
     sys.stdout.write(format_survey(rows, csv=args.format == "csv"))
     failed = [r for r in rows if r.status.startswith("failed")]
     return 1 if failed else 0
@@ -256,8 +258,6 @@ def build_parser():
     p = subs.add_parser("survey", help="certify every instance up to a bound")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--budget", type=int, default=_default_budget())
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--slow", action="store_true")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_survey)
 

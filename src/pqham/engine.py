@@ -6,6 +6,7 @@ sporadic actions, and a survey driver."""
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .actions import (
     alternating_triple_space,
@@ -17,7 +18,12 @@ from .actions import (
     psl2_coset_space,
     psl2_subgroup_scan,
 )
-from .families import fermat_graph, metacirculant
+from .families import (
+    FermatSpec,
+    MetacirculantSpec,
+    fermat_graph,
+    metacirculant,
+)
 from .field import is_prime
 from .graphs import (
     BudgetExceeded,
@@ -30,9 +36,9 @@ from .graphs import (
 from .quotients import (
     lift_closed_walk,
     quotient,
+    semiregular_isomorphism,
     stitch_isolates,
     verify_quotient_cycle,
-    verify_semiregular,
 )
 
 
@@ -84,12 +90,16 @@ def format_certificate(cert):
 def parse_certificate(text):
     kv = {}
     trace = []
+    fields = ("order", "valency", "fingerprint", "strategy", "cycle")
     for line in text.splitlines():
         k, _, v = line.partition("=")
-        if k in ("order", "valency", "fingerprint", "strategy", "cycle"):
+        if k in fields:
             kv[k] = v
         else:
             trace.append(line)
+    missing = [k for k in fields if k not in kv]
+    if missing:
+        raise ValueError("certificate lacks %s" % ", ".join(missing))
     return Certificate(int(kv["order"]), int(kv["valency"]),
                        kv["fingerprint"],
                        tuple(int(x) for x in kv["cycle"].split(",")),
@@ -108,10 +118,9 @@ class Descriptor:
 
     def __str__(self):
         def show(p):
-            cls = type(p).__name__
-            if cls == "MetacirculantSpec":
+            if isinstance(p, MetacirculantSpec):
                 return "m=%d,n=%d,alpha=%d" % (p.m, p.n, p.alpha)
-            if cls == "FermatSpec":
+            if isinstance(p, FermatSpec):
                 return "p=%d,q=%d" % (p.p, p.q)
             return str(p)
         return "%s(%s)" % (self.family, ",".join(show(p) for p in self.params))
@@ -136,13 +145,27 @@ def dihedral_union_labels(model):
     return out
 
 
-_SPACE_CACHE = {}
+# The coset spaces and models behind the action families, built once per
+# parameter set and shared by every orbital graph drawn from them.
+
+@lru_cache(maxsize=None)
+def _triple_space():
+    return alternating_triple_space()
 
 
-def _cached(key, build):
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = build()
-    return _SPACE_CACHE[key]
+@lru_cache(maxsize=None)
+def _dihedral_model(p):
+    return dihedral_model(p)
+
+
+@lru_cache(maxsize=None)
+def _psl2_space(p, oa, ob, oab, size):
+    return psl2_coset_space(p, *psl2_subgroup_scan(p, oa, ob, oab, size))
+
+
+@lru_cache(maxsize=None)
+def _omega_model(q):
+    return omega_model(q)
 
 
 def build_instance(desc):
@@ -161,14 +184,14 @@ def build_instance(desc):
                for v in range(2 * n)]
         return g, (rho if is_prime(n) else None)
     if fam == "triple":
-        sp = _cached("triple", alternating_triple_space)
+        sp = _triple_space()
         sub = next(s for s in sp.suborbits if s.size == params[0])
         g = orbital_graph(sp, (sub.index,))
         rho = list(sp.gens[1])  # the 7-cycle acts (5,7)-semiregularly
         return g, rho
     if fam == "dihedral":
         p, label = params
-        model = _cached(("dihedral", p), lambda: dihedral_model(p))
+        model = _dihedral_model(p)
         labels = dihedral_union_labels(model)
         if label not in labels:
             raise ValueError("unknown union %r; have %s"
@@ -176,15 +199,14 @@ def build_instance(desc):
         _, _, union = labels[label]
         return orbital_graph(model.space, union), list(model.rho)
     if fam == "psl2sub":
-        p, oa, ob, oab, size, idx = params
-        sp = _cached(("psl2sub", p, size), lambda: psl2_coset_space(
-            p, *psl2_subgroup_scan(p, oa, ob, oab, size)))
+        *key, idx = params
+        sp = _psl2_space(*key)
         sub = sp.suborbits[idx]
         union = (idx,) if sub.self_paired else (idx, sub.paired)
         return orbital_graph(sp, union), list(sp.gens[0])
     if fam == "omega":
         q, lam = params
-        model = _cached(("omega", q), lambda: omega_model(q))
+        model = _omega_model(q)
         return omega_graph(model, lam), list(model.rho)
     raise ValueError("unknown family %r" % fam)
 
@@ -193,14 +215,12 @@ def build_instance(desc):
 # strategies
 
 
-def _quotient_lift(g, rho, trace):
+def _quotient_lift(g, q, trace):
     """Hamilton cycle through a quotient Hamilton cycle containing a
     multiplicity >= 2 edge, lifted along its voltages."""
-    mn = verify_semiregular(g, rho)
-    if mn is None or not is_prime(mn[1]):
+    m, n = q.m, q.n
+    if not is_prime(n):
         return None
-    m, n = mn
-    q = quotient(g, rho)
     if m == 1:
         # circulant on a prime number of vertices: one voltage suffices
         orb = q.orbits[0]
@@ -215,7 +235,7 @@ def _quotient_lift(g, rho, trace):
         path = hamilton_path(simple, a, b)
         if path is None:
             continue
-        out = lift_closed_walk(g, rho, path)
+        out = lift_closed_walk(q, path)
         if out.full:
             trace.append("quotient_cycle=%s" % ",".join(map(str, path)))
             trace.append("double_edge=%d-%d" % (a, b))
@@ -223,91 +243,17 @@ def _quotient_lift(g, rho, trace):
     # no usable double edge: a plain quotient cycle may still lift fully
     cyc = hamilton_cycle(simple)
     if cyc is not None:
-        out = lift_closed_walk(g, rho, cyc)
+        out = lift_closed_walk(q, cyc)
         if out.full:
             trace.append("quotient_cycle=%s" % ",".join(map(str, cyc)))
             return list(out.cycle)
     return None
 
 
-def _two_factor_splice(g, rho, trace, budget):
-    """Lift a quotient cycle over part of the orbits to a full cycle and
-    join it to a Hamilton path of the remaining orbits' subgraph."""
-    from itertools import product
-
-    from .quotients import permutation_orbits, symbol
-    mn = verify_semiregular(g, rho)
-    if mn is None or not is_prime(mn[1]) or mn[0] > 12:
-        return None
-    m, n = mn
-    sym = symbol(g, rho)
-    orbs = [list(o) for o in permutation_orbits(rho)]
-    simple = quotient(g, rho).graph.simple()
-
-    def cycles():
-        # all cycles of length >= 3 in the quotient simple graph,
-        # anchored at their smallest vertex
-        for start in range(m):
-            stack = [(start, [start], {start})]
-            while stack:
-                v, path, seen = stack.pop()
-                for w in simple.adjacency[v]:
-                    if w == start and len(path) >= 3:
-                        yield list(path)
-                    elif w > start and w not in seen:
-                        stack.append((w, path + [w], seen | {w}))
-
-    seen_sets = set()
-    for walk in cycles():
-        key = frozenset(walk)
-        if key in seen_sets or len(walk) == m:
-            continue
-        seen_sets.add(key)
-        rest = sorted(set(range(m)) - key)
-        verts = sorted(v for o in rest for v in orbs[o])
-        sub, vs = g.subgraph(verts)
-        if not sub.is_connected():
-            continue
-        idx = {v: i for i, v in enumerate(vs)}
-        k = len(walk)
-        volts = [sorted(sym.sets[walk[i]][walk[(i + 1) % k]])
-                 for i in range(k)]
-        for choice in product(*volts):
-            if sum(choice) % n == 0:
-                continue
-            c1 = []
-            a = 0
-            for _ in range(n):
-                for i in range(k):
-                    c1.append(orbs[walk[i]][a % n])
-                    a = (a + choice[i]) % n
-            for i in range(len(c1)):
-                u, v = c1[i], c1[(i + 1) % len(c1)]
-                for x in g.adjacency[u]:
-                    if x not in idx:
-                        continue
-                    for y in g.adjacency[v]:
-                        if y not in idx or y == x:
-                            continue
-                        try:
-                            path = hamilton_path(sub, idx[x], idx[y],
-                                                 budget=budget)
-                        except BudgetExceeded:
-                            return None
-                        if path is not None:
-                            trace.append("quotient_cycle=%s"
-                                         % ",".join(map(str, walk)))
-                            trace.append("splice=%d-%d/%d-%d" % (u, x, v, y))
-                            return (c1[: i + 1] + [vs[t] for t in path]
-                                    + c1[i + 1:])
-    return None
-
-
-def _omega_blocks(g, rho, model, lam, trace):
+def _omega_blocks(q, model, trace):
     """The block construction for the quadric graphs with form value 0:
     the double-edge subgraph on the outer blocks decomposes into at most
     two cycles, which are stitched through the inner blocks and lifted."""
-    q = quotient(g, rho)
     order = {v: a for a, blk in enumerate(q.orbits) for v in blk}
     inner = sorted(order[model.blocks[b][0]] for b in model.inner_blocks)
     outer = sorted(order[model.blocks[b][0]] for b in model.outer_blocks)
@@ -343,7 +289,7 @@ def _omega_blocks(g, rho, model, lam, trace):
         walk = stitch_isolates(q, comps[0], inner)
     if not verify_quotient_cycle(q, walk):
         return None
-    out = lift_closed_walk(g, rho, walk)
+    out = lift_closed_walk(q, walk)
     if not out.full:
         return None
     trace.append("quotient_cycle=%s" % ",".join(map(str, walk)))
@@ -364,22 +310,23 @@ def prove(desc, budget=10 ** 7):
     if not g.is_connected():
         raise ProofFailure("%s is disconnected" % desc)
     trace = ["descriptor=%s" % desc]
-    cycle, strategy = None, None
-    if desc.family == "omega" and desc.params[1] == 0:
-        model = _SPACE_CACHE[("omega", desc.params[0])]
-        cycle = _omega_blocks(g, rho, model, 0, trace)
-        strategy = "omega-blocks"
-    if cycle is None and rho is not None:
-        cycle = _quotient_lift(g, rho, trace)
-        strategy = "quotient-lift"
-    if cycle is None and rho is not None:
-        cycle = _two_factor_splice(g, rho, trace, budget)
-        strategy = "two-factor-splice"
+    cycle, strategy, q = None, None, None
+    if rho is not None:
+        try:
+            q = quotient(g, rho)
+        except ValueError:
+            pass  # rho is not semiregular: no quotient strategy applies
+    if q is not None:
+        if desc.family == "omega" and desc.params[1] == 0:
+            cycle = _omega_blocks(q, _omega_model(desc.params[0]), trace)
+            strategy = "omega-blocks"
+        if cycle is None:
+            cycle = _quotient_lift(g, q, trace)
+            strategy = "quotient-lift"
     if cycle is None and desc.family == "dihedral" \
             and desc.params[1].endswith("-"):
         # the minus split graph is isomorphic to its plus twin; transfer
         # the twin's cycle through an explicit isomorphism
-        from .quotients import semiregular_isomorphism
         twin = Descriptor("dihedral", (desc.params[0],
                                        desc.params[1][:-1] + "+"))
         g2, rho2 = build_instance(twin)
@@ -454,7 +401,6 @@ class SurveyRow:
 def survey_descriptors(max_order):
     """All implemented instances of order <= max_order, in a
     deterministic order."""
-    from .families import FermatSpec, MetacirculantSpec
     out = []
     pet = MetacirculantSpec(2, 5, 2, (frozenset({1, 4}), frozenset({0})))
     if 10 <= max_order:
@@ -480,11 +426,9 @@ def survey_descriptors(max_order):
                               (FermatSpec(17, 5, frozenset({1, 4}),
                                           frozenset({1, 2})),)))
     if 91 <= max_order:
-        model = _cached(("dihedral", 13), lambda: dihedral_model(13))
-        for label in sorted(dihedral_union_labels(model)):
+        for label in sorted(dihedral_union_labels(_dihedral_model(13))):
             out.append(Descriptor("dihedral", (13, label)))
-        sp = _cached(("psl2sub", 13, 12), lambda: psl2_coset_space(
-            13, *psl2_subgroup_scan(13, 2, 3, 3, 12)))
+        sp = _psl2_space(13, 2, 3, 3, 12)
         for s in sp.suborbits:
             if s.size > 1 and s.self_paired:
                 out.append(Descriptor("psl2sub", (13, 2, 3, 3, 12, s.index)))
@@ -494,8 +438,8 @@ def survey_descriptors(max_order):
 def survey(max_order, budget=10 ** 7):
     rows = []
     for desc in survey_descriptors(max_order):
-        g, _ = build_instance(desc)
         t0 = time.time()
+        cert = None
         try:
             cert = prove(desc, budget=budget)
             status, strategy = "hamiltonian", cert.strategy
@@ -503,8 +447,14 @@ def survey(max_order, budget=10 ** 7):
             status, strategy = "exception", "-"
         except ProofFailure as e:
             status, strategy = "failed: %s" % e, "-"
-        rows.append(SurveyRow(str(desc), g.n, g.valency(), status, strategy,
-                              round(time.time() - t0, 3)))
+        seconds = round(time.time() - t0, 3)
+        if cert is None:
+            g, _ = build_instance(desc)
+            order, valency = g.n, g.valency()
+        else:
+            order, valency = cert.order, cert.valency
+        rows.append(SurveyRow(str(desc), order, valency, status, strategy,
+                              seconds))
     return rows
 
 

@@ -218,21 +218,6 @@ def block_quotient(g, blocks):
     return Graph(len(blocks), sorted(edges))
 
 
-def group_orbit(n, generators, start=0):
-    """Orbit of start under the permutation group generated by the given
-    permutations."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for gperm in generators:
-            y = gperm[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def parse_family_spec(text):
     """Family spec from line-oriented key=value text; returns the
     MetacirculantSpec or FermatSpec."""

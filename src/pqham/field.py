@@ -3,12 +3,11 @@ and the residue-counting identities that drive the quotient analysis."""
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 ZERO = "zero"
 SQUARE = "square"
 NONSQUARE = "nonsquare"
-
-_MAX_P = 2**31 - 1
 
 
 def is_prime(n):
@@ -48,24 +47,6 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-class PrimeField:
-    """The field F_p for an odd prime p."""
-
-    def __init__(self, p):
-        if not (3 <= p <= _MAX_P) or not is_prime(p):
-            raise ValueError("modulus must be an odd prime below 2^31: %r" % (p,))
-        self.p = p
-
-    def __repr__(self):
-        return "PrimeField(%d)" % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
 
 def classify(a, p):
@@ -139,14 +120,8 @@ def primitive_roots(p):
     g = next(
         g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in qs)
     )
-    cop = [k for k in range(1, n) if _gcd(k, n) == 1]
+    cop = [k for k in range(1, n) if gcd(k, n) == 1]
     return frozenset(pow(g, k, p) for k in cop) | {g}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

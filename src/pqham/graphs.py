@@ -63,14 +63,6 @@ class Graph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def subgraph(self, vertices):
-        """Induced subgraph; returns (graph, list mapping new -> old)."""
-        vs = sorted(vertices)
-        idx = {v: i for i, v in enumerate(vs)}
-        edges = [(idx[u], idx[v]) for u, v in self.edges()
-                 if u in idx and v in idx]
-        return Graph(len(vs), edges), vs
-
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
                 and self.adjacency == other.adjacency)
@@ -471,17 +463,3 @@ def format_dot(g, name="g"):
     lines += ["  %d -- %d;" % e for e in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def format_certificate(cycle):
-    """Certificate text: first line the order, second line the cycle."""
-    return "%d\n%s\n" % (len(cycle), " ".join(map(str, cycle)))
-
-
-def parse_certificate(text):
-    lines = [l for l in text.splitlines() if l.strip()]
-    n = int(lines[0])
-    cycle = list(map(int, lines[1].split()))
-    if len(cycle) != n:
-        raise ValueError("certificate length mismatch")
-    return cycle

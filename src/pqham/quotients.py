@@ -14,22 +14,27 @@ def is_automorphism(g, perm):
     return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
 
 
-def permutation_orbits(perm):
-    """Cycles of perm, each listed from its lowest vertex by successive
-    application; cycles ordered by lowest vertex."""
-    n = len(perm)
+def permutation_orbits(*perms):
+    """Orbits of the group generated by perms, ordered by lowest vertex.
+    For a single permutation each orbit is its cycle, listed from its
+    lowest vertex by successive application."""
+    n = len(perms[0])
     seen = [False] * n
     out = []
     for v in range(n):
         if seen[v]:
             continue
-        orb = [v]
         seen[v] = True
-        w = perm[v]
-        while w != v:
-            seen[w] = True
-            orb.append(w)
-            w = perm[w]
+        orb = [v]
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for perm in perms:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orb.append(y)
+                    stack.append(y)
         out.append(orb)
     return out
 
@@ -50,54 +55,6 @@ def verify_semiregular(g, perm):
 
 
 @dataclass(frozen=True)
-class Quotient:
-    """Orbit quotient of a graph under a semiregular automorphism."""
-    graph: Multigraph          # d(A,B) multiplicities, d(A)//2 loops
-    orbits: tuple              # m tuples of length n
-    d_in: tuple                # d(A): valency inside each orbit
-
-    @property
-    def m(self):
-        return len(self.orbits)
-
-    @property
-    def n(self):
-        return len(self.orbits[0])
-
-    def d(self, a, b):
-        if a == b:
-            return self.d_in[a]
-        return self.graph.multiplicity(a, b)
-
-
-def quotient(g, perm):
-    """Quotient multigraph on the orbits of a verified semiregular perm:
-    orbits A,B joined by d(A,B) parallel edges, d(A) recorded per orbit."""
-    mn = verify_semiregular(g, perm)
-    if mn is None:
-        raise ValueError("permutation is not semiregular on the graph")
-    orbs = permutation_orbits(perm)
-    owner = {}
-    for a, orb in enumerate(orbs):
-        for v in orb:
-            owner[v] = a
-    m = len(orbs)
-    d_in = [0] * m
-    mult = {}
-    for a, orb in enumerate(orbs):
-        u = orb[0]
-        for w in g.adjacency[u]:
-            b = owner[w]
-            if b == a:
-                d_in[a] += 1
-            elif a < b:
-                mult[(a, b)] = mult.get((a, b), 0) + 1
-    loops = {a: d_in[a] // 2 for a in range(m) if d_in[a]}
-    return Quotient(Multigraph(m, mult, loops), tuple(map(tuple, orbs)),
-                    tuple(d_in))
-
-
-@dataclass(frozen=True)
 class Symbol:
     """m x m array S[i][j] = {t : u_i ~ perm^t(u_j)} over Z_n, with the
     base vertex u_i of each orbit."""
@@ -110,40 +67,55 @@ class Symbol:
         return len(self.bases)
 
 
-def symbol(g, perm, bases=None):
-    """Orbit symbol of g relative to perm; bases default to the lowest
-    vertex of each orbit."""
-    mn = verify_semiregular(g, perm)
-    if mn is None:
+@dataclass(frozen=True)
+class Quotient:
+    """Orbit quotient of a graph under a semiregular automorphism perm.
+    Orbit A is listed from its lowest vertex by successive application
+    of perm; the symbol is taken relative to those lowest vertices, and
+    d(A,B) = |S[A][B]|, d(A) = |S[A][A]|."""
+    graph: Multigraph          # d(A,B) multiplicities, d(A)//2 loops
+    orbits: tuple              # m tuples of length n
+    symbol: Symbol
+
+    @property
+    def m(self):
+        return len(self.orbits)
+
+    @property
+    def n(self):
+        return len(self.orbits[0])
+
+    @property
+    def d_in(self):
+        return tuple(self.d(a, a) for a in range(self.m))
+
+    def d(self, a, b):
+        return len(self.symbol.sets[a][b])
+
+
+def quotient(g, perm):
+    """The quotient of g by perm, with its symbol, read off one pass over
+    each orbit's base adjacency. ValueError unless perm is semiregular."""
+    if verify_semiregular(g, perm) is None:
         raise ValueError("permutation is not semiregular on the graph")
-    m, n = mn
     orbs = permutation_orbits(perm)
-    if bases is None:
-        bases = [o[0] for o in orbs]
-    if len(bases) != m:
-        raise ValueError("need one base vertex per orbit")
-    # reorder each orbit to start at its base
-    pos = {}
-    ordered = []
-    for orb in orbs:
-        base = next(b for b in bases if b in orb)
-        i = orb.index(base)
-        ordered.append(orb[i:] + orb[:i])
-    order = sorted(range(m), key=lambda a: bases.index(ordered[a][0]))
-    ordered = [ordered[a] for a in order]
-    if [o[0] for o in ordered] != list(bases):
-        raise ValueError("base vertices must cover all orbits")
-    for orb in ordered:
+    m, n = len(orbs), len(orbs[0])
+    pos = [None] * g.n
+    for a, orb in enumerate(orbs):
         for t, v in enumerate(orb):
-            pos[v] = (ordered.index(orb), t)
+            pos[v] = (a, t)
     sets = [[set() for _ in range(m)] for _ in range(m)]
-    for i, orb in enumerate(ordered):
-        u = orb[0]
-        for w in g.adjacency[u]:
-            j, t = pos[w]
-            sets[i][j].add(t)
-    return Symbol(n, tuple(bases),
-                  tuple(tuple(frozenset(s) for s in row) for row in sets))
+    for a, orb in enumerate(orbs):
+        row = sets[a]
+        for w in g.adjacency[orb[0]]:
+            b, t = pos[w]
+            row[b].add(t)
+    mult = {(a, b): len(sets[a][b]) for a in range(m)
+            for b in range(a + 1, m) if sets[a][b]}
+    loops = {a: len(sets[a][a]) // 2 for a in range(m) if sets[a][a]}
+    sym = Symbol(n, tuple(o[0] for o in orbs),
+                 tuple(tuple(frozenset(s) for s in row) for row in sets))
+    return Quotient(Multigraph(m, mult, loops), tuple(map(tuple, orbs)), sym)
 
 
 def graph_from_symbol(sym):
@@ -179,21 +151,17 @@ class LiftOutcome:
     piece_count: int    # 1 when full, else n
 
 
-def lift_closed_walk(g, perm, walk):
-    """Lift a quotient cycle (orbit indices, each visited once) through
-    the voltages of perm's symbol. Requires prime orbit length."""
-    mn = verify_semiregular(g, perm)
-    if mn is None:
-        raise ValueError("permutation is not semiregular on the graph")
-    m, n = mn
+def lift_closed_walk(q, walk):
+    """Lift a cycle of the quotient q (orbit indices, each visited once)
+    through the voltages of its symbol. Requires prime orbit length."""
+    n = q.n
     if not is_prime(n):
         raise ValueError("orbit length must be prime")
     k = len(walk)
     if k < 2 or len(set(walk)) != k:
         raise ValueError("walk must be a cycle visiting each orbit once")
-    sym = symbol(g, perm)
     steps = [(walk[i], walk[(i + 1) % k]) for i in range(k)]
-    volts = [sym.sets[a][b] for a, b in steps]
+    volts = [q.symbol.sets[a][b] for a, b in steps]
     if any(not s for s in volts):
         raise ValueError("walk uses an absent quotient edge")
     if k == 2 and len(volts[0]) < 2:
@@ -221,7 +189,7 @@ def lift_closed_walk(g, perm, walk):
                     break
             if choice:
                 break
-    orbs = [list(o) for o in permutation_orbits(perm)]
+    orbs = q.orbits
     if choice is None:
         t0 = [min(s) for s in volts]
         piece = []

@@ -43,6 +43,12 @@ def test_quotient_command(capsys, tmp_path):
     assert code == 0
     assert out.startswith("orbits=5 orbit_length=3")
     assert "symbol:" in out
+    # an automorphism with a fixed point has no quotient
+    code = main(["quotient", "--family", "psl2sub", "--p", "13", "--orders",
+                 "2,3,6", "--size", "78", "--index", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "not semiregular" in captured.err
 
 
 def test_hamilton_certificate_verifies(capsys):

@@ -68,6 +68,8 @@ def test_certificate_round_trip():
     again = parse_certificate(format_certificate(cert))
     assert again == cert
     assert "descriptor=dihedral(13,S7)" in cert.trace
+    with pytest.raises(ValueError):
+        parse_certificate("order=3\nvalency=2\n")
 
 
 def test_petersen_is_the_exception():
@@ -84,6 +86,10 @@ def test_prove_strategies():
     c = prove(Descriptor("dihedral", (13, "S4-")))
     assert c.strategy == "isomorph-transfer"
     assert any(t.startswith("isomorph_of=") for t in c.trace)
+    # PSL(2,13) on the 14 cosets of a Borel subgroup: the distinguished
+    # element fixes the base point, so no quotient strategy applies
+    c = prove(Descriptor("psl2sub", (13, 2, 3, 6, 78, 1)))
+    assert (c.strategy, c.order, c.valency) == ("direct-search", 14, 13)
 
 
 def test_fingerprint_distinguishes_graphs():

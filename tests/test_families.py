@@ -10,12 +10,16 @@ from pqham.families import (
     fermat_fiber_blocks,
     fermat_graph,
     format_family_spec,
-    group_orbit,
     metacirculant,
     parse_family_spec,
 )
 from pqham.graphs import Graph, find_isomorphism, gp, is_isomorphic
-from pqham.quotients import is_automorphism, quotient, verify_semiregular
+from pqham.quotients import (
+    is_automorphism,
+    permutation_orbits,
+    quotient,
+    verify_semiregular,
+)
 
 
 def complete_graph(n):
@@ -52,7 +56,8 @@ def test_metacirculant_petersen():
     assert is_isomorphic(g, gp(5, 2))
     assert verify_semiregular(g, rho) == (2, 5)
     assert is_automorphism(g, sigma)
-    assert group_orbit(10, [rho, sigma]) == set(range(10))
+    assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
+        [list(range(10))]
 
 
 def test_metacirculant_circulant():
@@ -87,7 +92,8 @@ def test_metacirculant_transitive_family():
         g, rho, sigma = metacirculant(spec)
         assert verify_semiregular(g, rho) == (spec.m, spec.n)
         assert is_automorphism(g, sigma)
-        assert group_orbit(g.n, [rho, sigma]) == set(range(g.n))
+        assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
+            [list(range(g.n))]
 
 
 FERMAT_53 = FermatSpec(5, 3, frozenset(), frozenset({1}))

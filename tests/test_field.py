@@ -6,7 +6,6 @@ from pqham.field import (
     NONSQUARE,
     SQUARE,
     ZERO,
-    PrimeField,
     classify,
     is_prime,
     prime_factors,
@@ -38,14 +37,6 @@ def test_prime_factors():
     assert prime_factors(2592) == [2, 3]
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(97) == [97]
-
-
-def test_prime_field_rejects_nonprime():
-    with pytest.raises(ValueError):
-        PrimeField(15)
-    with pytest.raises(ValueError):
-        PrimeField(2)
-    assert PrimeField(13).p == 13
 
 
 def test_classify_examples():

@@ -10,7 +10,6 @@ from pqham.graphs import (
     Multigraph,
     chvatal_certifies,
     find_isomorphism,
-    format_certificate,
     format_dot,
     format_edge_list,
     gp,
@@ -20,7 +19,6 @@ from pqham.graphs import (
     hamilton_path,
     is_isomorphic,
     jackson_certifies,
-    parse_certificate,
     parse_edge_list,
     verify_hamilton_cycle,
     verify_hamilton_path,
@@ -187,8 +185,6 @@ def test_io_round_trips():
     text = format_edge_list(PETERSEN)
     assert text.splitlines()[0] == "10 15"
     assert parse_edge_list(text) == PETERSEN
-    cyc = hamilton_cycle(cycle_graph(6))
-    assert parse_certificate(format_certificate(cyc)) == cyc
     dot = format_dot(cycle_graph(3))
     assert "0 -- 1;" in dot and dot.startswith("graph g {")
 

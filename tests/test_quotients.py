@@ -21,7 +21,6 @@ from pqham.quotients import (
     permutation_orbits,
     quotient,
     stitch_isolates,
-    symbol,
     verify_quotient_cycle,
     verify_semiregular,
 )
@@ -72,6 +71,12 @@ def test_verify_semiregular_examples():
 
 def test_permutation_orbits():
     assert permutation_orbits([1, 2, 0, 4, 3]) == [[0, 1, 2], [3, 4]]
+    # a single permutation lists each cycle from its lowest vertex
+    assert permutation_orbits([2, 0, 1]) == [[0, 2, 1]]
+    # several generate a group; its orbits come ordered by lowest vertex
+    orbs = permutation_orbits([1, 0, 2, 3, 4], [0, 2, 1, 3, 4],
+                              [0, 1, 2, 4, 3])
+    assert [sorted(o) for o in orbs] == [[0, 1, 2], [3, 4]]
 
 
 def test_quotient_c6():
@@ -98,7 +103,7 @@ def test_quotient_o4():
 
 
 def test_symbol_petersen():
-    s = symbol(PETERSEN, PET_RHO)
+    s = quotient(PETERSEN, PET_RHO).symbol
     assert s.n == 5 and s.m == 2
     assert s.sets[0][0] == frozenset({1, 4})
     assert s.sets[1][1] == frozenset({2, 3})
@@ -107,13 +112,13 @@ def test_symbol_petersen():
 
 def test_symbol_c5():
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    s = symbol(c5, [(i + 1) % 5 for i in range(5)])
+    s = quotient(c5, [(i + 1) % 5 for i in range(5)]).symbol
     assert s.m == 1 and s.sets[0][0] == frozenset({1, 4})
 
 
 def test_symbol_invariants_and_roundtrip():
     for g, rho in [(PETERSEN, PET_RHO), (O4, O4_RHO)]:
-        s = symbol(g, rho)
+        s = quotient(g, rho).symbol
         for i in range(s.m):
             assert s.sets[i][i] == frozenset((-t) % s.n for t in s.sets[i][i])
             for j in range(s.m):
@@ -127,7 +132,7 @@ def test_published_symbol_realizes_o4():
 
 
 def test_format_symbol():
-    s = symbol(PETERSEN, PET_RHO)
+    s = quotient(PETERSEN, PET_RHO).symbol
     text = format_symbol(s)
     assert len(text.splitlines()) == 2
     assert "{1,4}" in text and "{0}" in text
@@ -137,7 +142,7 @@ def test_lift_o4_full():
     q = quotient(O4, O4_RHO)
     cyc = hamilton_cycle(q.graph.simple())
     assert any(q.d(cyc[i], cyc[(i + 1) % 7]) >= 2 for i in range(7))
-    out = lift_closed_walk(O4, O4_RHO, cyc)
+    out = lift_closed_walk(q, cyc)
     assert out.full and out.piece_count == 1
     assert verify_hamilton_cycle(O4, list(out.cycle))
 
@@ -145,7 +150,7 @@ def test_lift_o4_full():
 def test_lift_double_edge_two_cycle():
     q = quotient(O4, O4_RHO)
     a, b = next(e for e, c in q.graph.mult.items() if c >= 2)
-    out = lift_closed_walk(O4, O4_RHO, [a, b])
+    out = lift_closed_walk(q, [a, b])
     assert out.full and len(out.cycle) == 10
     # it is a genuine 10-cycle in the graph
     for i in range(10):
@@ -165,11 +170,11 @@ def test_lift_disjoint_case():
     g = graph_from_symbol(sym)
     rho = [i - i % 3 + (i + 1) % 3 for i in range(9)]
     assert verify_semiregular(g, rho) == (3, 3)
-    out = lift_closed_walk(g, rho, [0, 1, 2])
+    q = quotient(g, rho)
+    out = lift_closed_walk(q, [0, 1, 2])
     assert not out.full and out.piece_count == 3
     assert len(out.cycle) == 3
     # every edge of the quotient cycle is a single edge
-    q = quotient(g, rho)
     assert all(q.d(a, b) == 1 for a, b in combinations(range(3), 2))
 
 
@@ -179,26 +184,38 @@ def test_lift_dichotomy_double_edge_always_full():
     sg = q.graph.simple()
     for cyc in ([6, 0, 2, 3, 4, 5, 1], [0, 6, 1, 4, 3, 2, 5][::-1]):
         if verify_quotient_cycle(q, cyc):
-            out = lift_closed_walk(O4, O4_RHO, cyc)
+            out = lift_closed_walk(q, cyc)
             if any(q.d(cyc[i], cyc[(i + 1) % 7]) >= 2 for i in range(7)):
                 assert out.full
 
 
 def test_lift_errors():
+    q = quotient(O4, O4_RHO)
     with pytest.raises(ValueError):
-        lift_closed_walk(O4, O4_RHO, [0, 1, 0])
+        lift_closed_walk(q, [0, 1, 0])
     with pytest.raises(ValueError):
-        lift_closed_walk(O4, O4_RHO, [0, 4, 2])  # 0-4 not a quotient edge
+        lift_closed_walk(q, [0, 4, 2])  # 0-4 not a quotient edge
     with pytest.raises(ValueError):
-        lift_closed_walk(PETERSEN, PET_RHO, [0, 1])  # spoke edge is single
+        # spoke edge is single
+        lift_closed_walk(quotient(PETERSEN, PET_RHO), [0, 1])
     with pytest.raises(ValueError):
-        lift_closed_walk(PETERSEN, list(range(10)), [0, 1])  # not semiregular
+        # not semiregular
+        lift_closed_walk(quotient(PETERSEN, list(range(10))), [0, 1])
+
+
+def simple_quotient(m, edges):
+    """A quotient by the identity on orbits of length 1: one voltage 0
+    per edge."""
+    sets = [[frozenset() for _ in range(m)] for _ in range(m)]
+    for a, b in edges:
+        sets[a][b] = sets[b][a] = frozenset({0})
+    return Quotient(Multigraph(m, {e: 1 for e in edges}),
+                    tuple((i,) for i in range(m)),
+                    Symbol(1, tuple(range(m)), tuple(map(tuple, sets))))
 
 
 def complete_quotient(m):
-    mult = {(a, b): 1 for a, b in combinations(range(m), 2)}
-    return Quotient(Multigraph(m, mult), tuple((i,) for i in range(m)),
-                    (0,) * m)
+    return simple_quotient(m, list(combinations(range(m), 2)))
 
 
 def test_stitch_one_cycle():
@@ -219,8 +236,7 @@ def test_stitch_errors():
     q = complete_quotient(6)
     with pytest.raises(ValueError):
         stitch_isolates(q, [0, 1, 2], [5], second=[3, 4])  # needs 2 isolates
-    mult = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (0, 3): 1}
-    q2 = Quotient(Multigraph(4, mult), tuple((i,) for i in range(4)), (0,) * 4)
+    q2 = simple_quotient(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     with pytest.raises(ValueError):
         stitch_isolates(q2, [0, 1, 2], [3])  # 3 only adjacent to 0
 
@@ -249,5 +265,4 @@ def test_random_circulant_quotients():
         for a in range(q.m):
             deg = q.d_in[a] + sum(q.d(a, b) for b in range(q.m) if b != a)
             assert deg == g.degree(q.orbits[a][0])
-        s = symbol(g, rho)
-        assert is_isomorphic(graph_from_symbol(s), g)
+        assert is_isomorphic(graph_from_symbol(q.symbol), g)
