@@ -48,7 +48,18 @@ def _default_budget():
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit("%s must be an integer, got %r" % (BUDGET_ENV, raw))
+        print("%s must be an integer, got %r" % (BUDGET_ENV, raw),
+              file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _bad_budget(args):
+    """Report a budget that allows no search at all; True when reported."""
+    if args.budget > 0:
+        return False
+    print("the budget (--budget or %s) must be positive, got %d"
+          % (BUDGET_ENV, args.budget), file=sys.stderr)
+    return True
 
 
 def _ints(s):
@@ -172,6 +183,8 @@ def _cmd_quotient(args, parser):
 
 
 def _cmd_hamilton(args, parser):
+    if _bad_budget(args):
+        return 2
     desc = _descriptor(args, parser)
     g, _ = build_instance(desc)
     if g.n > SLOW_ORDER and not args.slow:
@@ -193,6 +206,8 @@ def _cmd_hamilton(args, parser):
 
 
 def _cmd_survey(args, parser):
+    if _bad_budget(args):
+        return 2
     rows = survey(args.max_order, budget=args.budget)
     sys.stdout.write(format_survey(rows, csv=args.format == "csv"))
     failed = [r for r in rows if r.status.startswith("failed")]

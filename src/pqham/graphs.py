@@ -1,7 +1,6 @@
 """Simple graphs and multigraphs, exact Hamilton search with certificates,
 classical hamiltonicity certificates, and generalized Petersen machinery."""
 
-import sys
 from itertools import combinations
 
 
@@ -136,69 +135,117 @@ def verify_hamilton_path(g, path, u, v):
 
 
 def _search(g, start, target, budget):
-    """Depth-first Hamilton search. target None means close a cycle at
-    start; otherwise find a Hamilton path ending at target. Returns the
-    vertex sequence or None (exhaustive absence); raises BudgetExceeded."""
+    """Depth-first Hamilton search on an explicit stack. target None means
+    close a cycle at start; otherwise find a Hamilton path ending at
+    target. Returns (vertex sequence or None, expansions); None means the
+    search proved absence. Raises BudgetExceeded past budget expansions.
+
+    Children are tried by fewest unvisited neighbours. A move is cut when
+    the unvisited vertices U provably admit no completion, by the
+    connectivity and degree rules of Vandegriend and Culberson (1998).
+    Each rule held before the move, so only what the move changed is
+    checked. A cut drops only subtrees without a solution, so the first
+    path found does not depend on the rules."""
     n = g.n
     adj = g.adjacency
     adjsets = g._adjsets
+    cycle = target is None
+    close_to = adjsets[start]
     visited = [False] * n
     visited[start] = True
-    # rem[v]: unvisited neighbors of v, kept incrementally for ordering
-    rem = [g.degree(v) for v in range(n)]
-    for w in adj[start]:
-        rem[w] -= 1
+    rem = [len(a) for a in adj]  # unvisited neighbours of each vertex
+    for x in adj[start]:
+        rem[x] -= 1
     path = [start]
+
+    def split(w):
+        # U ∪ {w} was connected, so U is connected iff w's unvisited
+        # neighbours share one component of U
+        nbrs = [x for x in adj[w] if not visited[x]]
+        if len(nbrs) < 2:
+            return False
+        want = set(nbrs[1:])
+        seen = {nbrs[0]}
+        stack = [nbrs[0]]
+        while want and stack:
+            for y in adj[stack.pop()]:
+                if not visited[y] and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+                    want.discard(y)
+        return bool(want)
+
+    def starved(u, w):
+        # each x in U but the target is interior to the rest of the path:
+        # it needs two neighbours among U, the end w and, for a cycle,
+        # start, which serves one such x at most. Moving from u to w took
+        # u from its neighbours, so only they can newly fall short.
+        wset = adjsets[w]
+        for x in adj[u]:
+            if not visited[x] and x != target:
+                have = rem[x] + (x in wset)
+                if have < 2 and not (cycle and have == 1 and x in close_to):
+                    return True
+        return cycle and sum(1 for x in adj[start] if not visited[x]
+                             and rem[x] + (x in wset) < 2) > 1
+
+    def cut(u, w):
+        if len(path) == n:
+            return False
+        if cycle and rem[start] == 0:
+            return True
+        return starved(u, w) or split(w)
+
+    def step(w):
+        visited[w] = True
+        path.append(w)
+        for x in adj[w]:
+            rem[x] -= 1
+
+    def back():
+        w = path.pop()
+        visited[w] = False
+        for x in adj[w]:
+            rem[x] += 1
+
+    def advance():
+        # move to the next child that survives the rules, backtracking out
+        # of exhausted vertices; False once the root is exhausted
+        while frames:
+            u = path[-1]
+            for w in frames[-1]:
+                if w == target and len(path) < n - 1:
+                    continue
+                step(w)
+                if not cut(u, w):
+                    return True
+                back()
+            frames.pop()
+            if frames:
+                back()
+        return False
+
+    # the rules hold at the root when U = V - start is connected and no
+    # vertex other than the two ends has fewer than two neighbours
+    if split(start) or any(len(adj[x]) < 2 for x in range(n)
+                           if x != start and x != target):
+        return None, 0
     expansions = 0
-    close_to = adjsets[start] if target is None else None
-
-    sys.setrecursionlimit(max(10000, 4 * n + 100))
-
-    def rec(u):
-        nonlocal expansions
+    frames = []  # per expanded path vertex, an iterator over its children
+    while True:
         expansions += 1
         if expansions > budget:
             raise BudgetExceeded(expansions)
-        if len(path) == n:
-            if target is None:
-                return u in close_to
-            return u == target
-        cands = [w for w in adj[u] if not visited[w]]
-        if target is not None and u != target:
-            # the target must stay reachable as the final vertex
-            if visited[target] or (rem[target] == 0 and target not in adjsets[u]):
-                return False
-        cands.sort(key=lambda w: rem[w])
-        for w in cands:
-            if target is not None and w == target and len(path) != n - 1:
-                continue
-            visited[w] = True
-            path.append(w)
-            for x in adj[w]:
-                rem[x] -= 1
-            # an unvisited vertex with no unvisited neighbors can only be
-            # the final vertex; prune when that is impossible
-            dead = False
-            for x in adj[w]:
-                if not visited[x] and rem[x] == 0 and x != target:
-                    if target is None:
-                        if x not in close_to or x not in adjsets[w]:
-                            dead = True
-                            break
-                    else:
-                        dead = True
-                        break
-            if not dead and rec(w):
-                return True
-            for x in adj[w]:
-                rem[x] += 1
-            path.pop()
-            visited[w] = False
-        return False
-
-    if rec(start):
-        return list(path)
-    return None
+        u = path[-1]
+        if len(path) < n:
+            frames.append(iter(sorted((w for w in adj[u] if not visited[w]),
+                                      key=rem.__getitem__)))
+        elif u in close_to if cycle else u == target:
+            return path, expansions
+        else:
+            back()
+        if not advance():
+            return None, expansions
 
 
 def hamilton_cycle(g, budget=10**6):
@@ -210,7 +257,7 @@ def hamilton_cycle(g, budget=10**6):
     if min(g.degree(v) for v in range(g.n)) < 2:
         return None
     start = min(range(g.n), key=g.degree)
-    return _search(g, start, None, budget)
+    return _search(g, start, None, budget)[0]
 
 
 def hamilton_path(g, u, v, budget=10**6):
@@ -220,7 +267,7 @@ def hamilton_path(g, u, v, budget=10**6):
         raise ValueError("endpoints must differ")
     if not g.is_connected():
         return None
-    return _search(g, u, v, budget)
+    return _search(g, u, v, budget)[0]
 
 
 def chvatal_certifies(g):

@@ -39,19 +39,23 @@ def permutation_orbits(*perms):
     return out
 
 
-def verify_semiregular(g, perm):
-    """(m, n) when perm is a g-automorphism whose cycles all share one
-    length n >= 2; None otherwise."""
+def _semiregular_orbits(g, perm):
+    """The cycles of perm, as permutation_orbits lists them, when perm is
+    a g-automorphism whose cycles all share one length n >= 2; None
+    otherwise."""
     if not is_automorphism(g, perm):
         return None
     orbs = permutation_orbits(perm)
-    lengths = {len(o) for o in orbs}
-    if len(lengths) != 1:
+    if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:
         return None
-    n = lengths.pop()
-    if n < 2:
-        return None
-    return len(orbs), n
+    return orbs
+
+
+def verify_semiregular(g, perm):
+    """(m, n) when perm is a g-automorphism whose cycles all share one
+    length n >= 2; None otherwise."""
+    orbs = _semiregular_orbits(g, perm)
+    return None if orbs is None else (len(orbs), len(orbs[0]))
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,9 @@ class Quotient:
 def quotient(g, perm):
     """The quotient of g by perm, with its symbol, read off one pass over
     each orbit's base adjacency. ValueError unless perm is semiregular."""
-    if verify_semiregular(g, perm) is None:
+    orbs = _semiregular_orbits(g, perm)
+    if orbs is None:
         raise ValueError("permutation is not semiregular on the graph")
-    orbs = permutation_orbits(perm)
     m, n = len(orbs), len(orbs[0])
     pos = [None] * g.n
     for a, orb in enumerate(orbs):
@@ -244,15 +248,14 @@ def semiregular_isomorphism(g, perm_g, h, perm_h):
     same orbit shape; the search runs over orbit bijections, base offsets
     and the conjugating exponent, which is fast even when a generic
     isomorphism search is not."""
-    mg = verify_semiregular(g, perm_g)
-    mh = verify_semiregular(h, perm_h)
-    if mg is None or mh is None:
+    gorbs = _semiregular_orbits(g, perm_g)
+    horbs = _semiregular_orbits(h, perm_h)
+    if gorbs is None or horbs is None:
         raise ValueError("both permutations must be semiregular")
-    if mg != mh or g.edge_count != h.edge_count:
+    m, n = len(gorbs), len(gorbs[0])
+    if (m, n) != (len(horbs), len(horbs[0])) \
+            or g.edge_count != h.edge_count:
         return None
-    m, n = mg
-    gorbs = [list(o) for o in permutation_orbits(perm_g)]
-    horbs = [list(o) for o in permutation_orbits(perm_h)]
 
     def compatible(phi, orbit, jmap):
         # phi maps gorbs[i][t] -> horbs[j][(s + lam*t) % n]; check all

@@ -8,24 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from pqham.residues import exceptional_table
 
 
-def pytest_addoption(parser):
-    parser.addoption("--slow", action="store_true", default=False,
-                     help="run the slow (multi-minute) checks")
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: multi-minute check, needs --slow")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def table131():
     """The full exceptional-sequence table (expensive; built once)."""

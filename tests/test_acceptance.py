@@ -1,13 +1,11 @@
 """Acceptance gate: ten end-to-end criteria, one pass/fail line each.
 
-Run with -s to see the lines; criterion 9 needs the --slow flag.
+Run with -s to see the lines.
 """
 
 import time
 from collections import Counter
 from itertools import combinations
-
-import pytest
 
 from pqham.actions import (
     dihedral_model,
@@ -289,7 +287,6 @@ def _fermat53():
     return (FermatSpec(5, 3, frozenset(), frozenset({1})),)
 
 
-@pytest.mark.slow
 def test_criterion_09_icosahedral_cosets_61():
     t0 = time.time()
     sub, gens = psl2_subgroup_scan(61, 2, 3, 5, 60)

@@ -125,6 +125,26 @@ def test_budget_env_override(monkeypatch):
     assert args.budget == 99
 
 
+def test_nonpositive_budget_exit_2(capsys, monkeypatch):
+    for argv in (["hamilton", "--family", "triple", "--size", "4",
+                  "--budget", "-5"],
+                 ["hamilton", "--family", "triple", "--size", "4",
+                  "--budget", "0"],
+                 ["survey", "--max-order", "15", "--budget", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "must be positive" in captured.err
+    monkeypatch.setenv("PQHAM_BUDGET", "0")
+    assert main(["survey", "--max-order", "15"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("PQHAM_BUDGET", "many")
+    with pytest.raises(SystemExit) as e:
+        main(["survey", "--max-order", "15"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_slow_gate(capsys):
     with pytest.raises(SystemExit) as e:
         main(["hamilton", "--family", "psl2sub", "--p", "61", "--orders",

@@ -1,13 +1,16 @@
 import random
-from itertools import combinations
+import sys
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqham.engine import Descriptor, build_instance
 from pqham.graphs import (
     BudgetExceeded,
     Graph,
     Multigraph,
+    _search,
     chvatal_certifies,
     find_isomorphism,
     format_dot,
@@ -74,6 +77,24 @@ def test_hamilton_cycle_edge_cases():
     assert hamilton_cycle(Graph(4, [(0, 1), (2, 3)])) is None  # disconnected
     with pytest.raises(BudgetExceeded):
         hamilton_cycle(gp(30, 7), budget=5)
+
+
+def test_hamilton_cycle_long_cycle_keeps_recursion_limit():
+    limit = sys.getrecursionlimit()
+    g = cycle_graph(5000)
+    assert verify_hamilton_cycle(g, hamilton_cycle(g))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_search_expansions_psl2sub_9():
+    # an order-91 valency-12 orbital graph whose cycle search took 1.89M
+    # expansions before the connectivity and degree cuts
+    g, _ = build_instance(Descriptor("psl2sub", (13, 2, 3, 3, 12, 9)))
+    start = min(range(g.n), key=g.degree)
+    cyc, expansions = _search(g, start, None, 10**4)
+    assert verify_hamilton_cycle(g, cyc)
+    assert expansions < 10**4
+    assert hamilton_cycle(g, budget=10**4) == cyc
 
 
 def test_hamilton_path_examples():
@@ -212,3 +233,35 @@ def test_relabelled_graphs_isomorphic(n, seed):
     m = find_isomorphism(g, h)
     assert m is not None
     assert all(h.has_edge(m[u], m[v]) for u, v in g.edges())
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+def test_search_agrees_with_permutation_brute_force(g):
+    # every Hamilton path of g is a vertex permutation with all steps edges
+    ends, has_cycle = set(), False
+    for perm in permutations(range(g.n)):
+        if all(g.has_edge(a, b) for a, b in zip(perm, perm[1:])):
+            ends.add((perm[0], perm[-1]))
+            has_cycle = has_cycle or (g.n >= 3 and g.has_edge(perm[-1],
+                                                               perm[0]))
+    cyc = hamilton_cycle(g)
+    assert (cyc is not None) == has_cycle
+    if cyc is not None:
+        assert verify_hamilton_cycle(g, cyc)
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                path = hamilton_path(g, u, v)
+                assert (path is not None) == ((u, v) in ends), (u, v)
+                if path is not None:
+                    assert verify_hamilton_path(g, path, u, v)
