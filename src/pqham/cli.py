@@ -3,7 +3,8 @@ quotients, Hamilton certificates, the survey driver, the prime-sequence
 bound tables and the quartic exception scan.
 
 Exit status: 0 on success, 1 when no Hamilton certificate is produced
-(including the one genuinely non-hamiltonian instance), 2 on bad flags.
+(including the one genuinely non-hamiltonian instance), 2 on bad flags or
+parameters, never with a traceback.
 """
 
 import argparse
@@ -34,23 +35,44 @@ from .families import MetacirculantSpec, parse_family_spec
 from .field import is_prime
 from .graphs import format_dot, format_edge_list
 from .quotients import format_symbol, quotient
-from .residues import exceptional_table, quartic_exceptions, render_table
+from .residues import (
+    SEARCH_CEILING,
+    exceptional_table,
+    quartic_exceptions,
+    render_table,
+)
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "PQHAM_BUDGET"
 SLOW_ORDER = 1000
 
 
-def _default_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
+def _reject(message):
+    """Report bad input on one stderr line and exit 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+class _EnvBudget(str):
+    """The --budget default. argparse converts a string default only for
+    the subcommand being parsed, so PQHAM_BUDGET is read by hamilton and
+    survey alone."""
+
+
+def _budget(raw):
+    """argparse type of --budget: an integer, or the environment default."""
+    if not isinstance(raw, _EnvBudget):
+        try:
+            return int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % raw)
+    env = os.environ.get(BUDGET_ENV)
+    if env is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        return int(env)
     except ValueError:
-        print("%s must be an integer, got %r" % (BUDGET_ENV, raw),
-              file=sys.stderr)
-        raise SystemExit(2)
+        _reject("%s must be an integer, got %r" % (BUDGET_ENV, env))
 
 
 def _bad_budget(args):
@@ -102,6 +124,14 @@ def _descriptor(args, parser):
     parser.error("unknown family %r" % fam)
 
 
+def _instance(desc):
+    """build_instance, with parameters it rejects reported as bad input."""
+    try:
+        return build_instance(desc)
+    except ValueError as e:
+        _reject("%s: %s" % (desc, e))
+
+
 def _add_family_flags(sub):
     sub.add_argument("--family", required=True,
                      choices=["metacirculant", "fermat", "gp", "triple",
@@ -120,7 +150,7 @@ def _add_family_flags(sub):
 
 def _cmd_construct(args, parser):
     desc = _descriptor(args, parser)
-    g, _ = build_instance(desc)
+    g, _ = _instance(desc)
     if args.format == "dot":
         sys.stdout.write(format_dot(g))
     else:
@@ -137,7 +167,10 @@ def _space_for(args, parser):
         if args.p is None:
             parser.error("--space psl2cosets requires --p")
         if args.orders:
-            oa, ob, oab = _ints(args.orders)
+            orders = _ints(args.orders)
+            if len(orders) != 3:
+                _reject("--orders needs three generator orders a,b,ab")
+            oa, ob, oab = orders
             if args.size is None:
                 parser.error("--orders also needs --size")
             sub, gens = psl2_subgroup_scan(args.p, oa, ob, oab, args.size)
@@ -164,7 +197,7 @@ def _cmd_suborbits(args, parser):
 
 def _cmd_quotient(args, parser):
     desc = _descriptor(args, parser)
-    g, rho = build_instance(desc)
+    g, rho = _instance(desc)
     if rho is None:
         print("no semiregular automorphism available for %s" % desc,
               file=sys.stderr)
@@ -186,7 +219,7 @@ def _cmd_hamilton(args, parser):
     if _bad_budget(args):
         return 2
     desc = _descriptor(args, parser)
-    g, _ = build_instance(desc)
+    g, _ = _instance(desc)
     if g.n > SLOW_ORDER and not args.slow:
         parser.error("order %d exceeds %d; pass --slow" % (g.n, SLOW_ORDER))
     try:
@@ -215,22 +248,28 @@ def _cmd_survey(args, parser):
 
 
 def _cmd_tables(args, parser):
-    if args.ceiling is None:
-        records = exceptional_table(args.qm_cap)
-    else:
+    if args.qm_cap < 3:
+        _reject("--qm-cap must be at least 3, got %d" % args.qm_cap)
+    if args.ceiling < 2:
+        _reject("--ceiling must be at least 2, got %d" % args.ceiling)
+    try:
         records = exceptional_table(args.qm_cap, args.ceiling)
+    except ValueError as e:
+        _reject("--ceiling %d is too low: %s" % (args.ceiling, e))
     sys.stdout.write(render_table(records, fmt=args.format) + "\n")
     return 0
 
 
 def _cmd_quartic(args, parser):
-    primes = [args.p] if args.p else [
+    if args.p is not None and (args.p < 3 or not is_prime(args.p)):
+        _reject("--p must be an odd prime, got %d" % args.p)
+    primes = [args.p] if args.p is not None else [
         p for p in range(5, args.max + 1)
         if is_prime(p) and p % 4 == 1 and is_prime((p + 1) // 2)]
     lines = []
     for p in primes:
         exc = quartic_exceptions(p)
-        if exc or args.p:
+        if exc or args.p is not None:
             lines.append("%d: %s" % (p, ",".join(map(str, sorted(exc)))))
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
@@ -265,20 +304,20 @@ def build_parser():
     p = subs.add_parser("hamilton", help="certify a Hamilton cycle")
     _add_family_flags(p)
     p.add_argument("--format", choices=["cert", "text"], default="cert")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=_budget, default=_EnvBudget())
     p.add_argument("--slow", action="store_true",
                    help="allow instances of order > %d" % SLOW_ORDER)
     p.set_defaults(func=_cmd_hamilton)
 
     p = subs.add_parser("survey", help="certify every instance up to a bound")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=_budget, default=_EnvBudget())
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_survey)
 
     p = subs.add_parser("tables", help="prime-sequence inequality bounds")
     p.add_argument("--qm-cap", type=int, default=131)
-    p.add_argument("--ceiling", type=int, default=None)
+    p.add_argument("--ceiling", type=int, default=SEARCH_CEILING)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_tables)
 

@@ -204,6 +204,9 @@ def build_instance(desc):
     if fam == "psl2sub":
         *key, idx = params
         sp = _psl2_space(*key)
+        if not 0 <= idx < len(sp.suborbits):
+            raise ValueError("no suborbit %d; have 0..%d"
+                             % (idx, len(sp.suborbits) - 1))
         sub = sp.suborbits[idx]
         union = (idx,) if sub.self_paired else (idx, sub.paired)
         return orbital_graph(sp, union), list(sp.gens[0])

@@ -452,37 +452,37 @@ def find_isomorphism(g, h, seed=None):
                 if w in mapping and not h.has_edge(c, mapping[w]):
                     return None
 
-    def rec(idx):
-        if idx == n:
-            return True
-        u = seq[idx]
-        if u in mapping:
-            return rec(idx + 1)
+    def options(u):
+        # the images of u consistent with the partial map, in vertex order
         for c in range(n):
             if used[c] or h.degree(c) != g.degree(u):
                 continue
-            ok = True
-            for w in g.adjacency[u]:
-                if w in mapping and not h.has_edge(c, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                for w, cw in mapping.items():
-                    if h.has_edge(c, cw) and not g.has_edge(u, w):
-                        ok = False
-                        break
-            if ok:
-                mapping[u] = c
-                used[c] = True
-                if rec(idx + 1):
-                    return True
-                del mapping[u]
-                used[c] = False
-        return False
+            if any(w in mapping and not h.has_edge(c, mapping[w])
+                   for w in g.adjacency[u]):
+                continue
+            if any(h.has_edge(c, cw) and not g.has_edge(u, w)
+                   for w, cw in mapping.items()):
+                continue
+            yield c
 
-    if rec(0):
-        return [mapping[v] for v in range(n)]
-    return None
+    # depth-first over the unseeded vertices on an explicit stack: trail[i]
+    # holds the untried images of free[i], so no recursion grows with n
+    free = [u for u in seq if u not in mapping]
+    trail = [options(free[0])] if free else []
+    while trail:
+        u = free[len(trail) - 1]
+        if u in mapping:  # back from a dead end: undo u's image
+            used[mapping.pop(u)] = False
+        c = next(trail[-1], None)
+        if c is None:
+            trail.pop()
+            continue
+        mapping[u] = c
+        used[c] = True
+        if len(trail) == len(free):
+            return [mapping[v] for v in range(n)]
+        trail.append(options(free[len(trail)]))
+    return None if free else [mapping[v] for v in range(n)]
 
 
 def is_isomorphic(g, h):

@@ -43,23 +43,22 @@ def c_fn(r, n, m, seq):
     return 2 * r * (num / den) ** 0.5
 
 
-def _d_gt_one(seq, n, m):
-    # d(n,m) > 1 with empty products (n > m) giving d = 2
-    a = b = 1
-    for q in seq[n - 1 : m]:
-        a *= q - 1
-        b *= q
-    return 2 * a > b
-
-
 def k_of(seq):
     """The unique k >= 2 with d(k-1,m) <= 1 < d(k,m)."""
-    seq = _check_sequence(seq)
-    m = len(seq)
-    for k in range(2, m + 2):
-        if not _d_gt_one(seq, k - 1, m) and _d_gt_one(seq, k, m):
-            return k
-    raise AssertionError("no threshold index for %r" % (seq,))
+    return _k_of(_check_sequence(seq))
+
+
+def _k_of(seq):
+    # d(k,m) grows with k and d(m+1,m) = 2, so walk j down from m keeping
+    # prod_{i=j..m} (q_i - 1) / q_i as a / b: the first j with
+    # d(j,m) = 2a/b <= 1 gives k = j + 1; q_1 = 2 makes j = 1 always stop
+    a = b = 1
+    for j in range(len(seq), 0, -1):
+        q = seq[j - 1]
+        a *= q - 1
+        b *= q
+        if 2 * a <= b:
+            return j + 1
 
 
 def _ineq_holds(a, b, c, d, x):
@@ -161,7 +160,10 @@ class BoundRecord:
 
 def is_exceptional(seq):
     """True when no prefix split satisfies the radical-form inequality."""
-    seq = _check_sequence(seq)
+    return _is_exceptional(_check_sequence(seq))
+
+
+def _is_exceptional(seq):
     radical = prod(seq)
     m = len(seq)
     return not any(
@@ -176,13 +178,12 @@ def shape_candidates(qm_cap=131):
     2,5, and m=9 starting 2,3,5."""
     pool = [q for q in range(3, qm_cap) if is_prime(q)]
     seen = set()
-    for r in range(5):
-        for tail in itertools.combinations(pool, r):
-            seen.add((2,) + tail)
-    for start, extra in (((2, 3), 5), ((2, 5), 5), ((2, 3, 5), 6)):
+    for start, lengths in (((2,), range(5)), ((2, 3), range(6)),
+                           ((2, 5), range(6)), ((2, 3, 5), (6,))):
+        if start[-1] >= qm_cap:
+            continue
         rest = [q for q in pool if q > start[-1]]
-        rng = range(extra, extra + 1) if start == (2, 3, 5) else range(extra + 1)
-        for r in rng:
+        for r in lengths:
             for tail in itertools.combinations(rest, r):
                 seen.add(start + tail)
     return sorted(seen)
@@ -210,13 +211,16 @@ def _primes_with_radical(seq, bound):
 
 def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
     """The exceptional sequences with their threshold bounds, winning
-    split, and qualifying prime lists; sorted by sequence."""
+    split, and qualifying prime lists; sorted by sequence. Raises
+    ValueError when the ceiling is too low to bound some sequence."""
     records = []
+    # candidates are strictly increasing primes from 2 by construction,
+    # so the unchecked forms of k_of and is_exceptional suffice
     for seq in shape_candidates(qm_cap):
         m = len(seq)
-        if m > 2 * k_of(seq) + 1:
+        if m > 2 * _k_of(seq) + 1:
             continue
-        if not is_exceptional(seq):
+        if not _is_exceptional(seq):
             continue
         best = None  # (k, -n) so ties prefer the shorter t
         for n in range(m + 1):
@@ -224,7 +228,7 @@ def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
             if k is not None and (best is None or (k, -n) < best[:2]):
                 best = (k, -n, prod(seq[:n]), prod(seq[n:]))
         if best is None:
-            raise AssertionError(
+            raise ValueError(
                 "no split of %r reaches the threshold below %d" % (seq, ceiling)
             )
         k, _, s, t = best

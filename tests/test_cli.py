@@ -150,3 +150,42 @@ def test_slow_gate(capsys):
         main(["hamilton", "--family", "psl2sub", "--p", "61", "--orders",
               "2,3,5", "--size", "60", "--index", "1"])
     assert e.value.code == 2
+
+
+def test_tables_respect_qm_cap(capsys):
+    code, out = run(capsys, "tables", "--qm-cap", "4", "--format", "csv")
+    assert code == 0
+    assert [l.split(";")[0] for l in out.splitlines()[1:]] == ["2", "2,3"]
+
+
+def test_bad_parameters_exit_2_one_line(capsys):
+    for argv in (["tables", "--ceiling", "0"],
+                 ["tables", "--ceiling", "1"],
+                 ["tables", "--qm-cap", "11", "--ceiling", "56"],
+                 ["tables", "--qm-cap", "0"],
+                 ["quartic", "--p", "12"],
+                 ["quartic", "--p", "2"],
+                 ["quartic", "--p", "0"],
+                 ["hamilton", "--family", "psl2sub", "--p", "13", "--orders",
+                  "2,3,3", "--size", "12", "--index", "99"],
+                 ["suborbits", "--space", "psl2cosets", "--p", "13",
+                  "--orders", "2,3", "--size", "12"],
+                 ["construct", "--family", "gp", "--n", "2", "--k", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+
+
+def test_budget_env_read_only_by_search_commands(capsys, monkeypatch):
+    monkeypatch.setenv("PQHAM_BUDGET", "x")
+    code, out = run(capsys, "quartic", "--p", "13")
+    assert code == 0 and out == "13: 1,4,5,6,7,10\n"
+    code, out = run(capsys, "tables", "--qm-cap", "4")
+    assert code == 0 and out.startswith("sequence")
+    with pytest.raises(SystemExit) as e:
+        main(["survey", "--max-order", "15"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1

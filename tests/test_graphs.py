@@ -202,6 +202,24 @@ def test_isomorphism_negative():
     assert is_isomorphic(gp(7, 2), gp(7, 3))
 
 
+def test_find_isomorphism_mappings_pinned():
+    # the first mapping in candidate order, as the search has always found
+    assert find_isomorphism(gp(7, 2), gp(7, 3)) == [
+        7, 10, 13, 9, 12, 8, 11, 0, 3, 6, 2, 5, 1, 4]
+    assert find_isomorphism(PETERSEN, PETERSEN, seed={0: 7}) == [
+        7, 5, 8, 6, 9, 2, 0, 3, 1, 4]
+    assert find_isomorphism(PETERSEN, PETERSEN, seed={0: 1, 1: 1}) is None
+
+
+def test_find_isomorphism_long_cycle_keeps_recursion_limit():
+    limit = sys.getrecursionlimit()
+    g = cycle_graph(1500)
+    m = find_isomorphism(g, g)
+    assert sorted(m) == list(range(1500))
+    assert all(g.has_edge(m[u], m[v]) for u, v in g.edges())
+    assert sys.getrecursionlimit() == limit
+
+
 def test_io_round_trips():
     text = format_edge_list(PETERSEN)
     assert text.splitlines()[0] == "10 15"

@@ -6,12 +6,15 @@ import pytest
 from pqham.field import is_prime, prime_factors
 from pqham.residues import (
     BoundRecord,
+    _check_sequence,
+    _k_of,
     alpha1_holds,
     bound_for_split,
     c_fn,
     corollary1_holds,
     d_fn,
     eq_k_holds,
+    exceptional_table,
     exceptional_xi,
     find_split,
     is_exceptional,
@@ -65,6 +68,33 @@ def test_k_of_consistent_with_d():
             assert d_fn(k, m, seq) > 1
 
 
+def test_k_of_and_is_exceptional_reject_bad_sequences():
+    for bad in [(), (3, 5), (2, 2, 3), (2, 5, 3), (2, 9)]:
+        with pytest.raises(ValueError):
+            k_of(bad)
+        with pytest.raises(ValueError):
+            is_exceptional(bad)
+
+
+def test_shape_candidates_are_valid_sequences_below_cap():
+    # exceptional_table calls the unchecked _k_of and _is_exceptional on
+    # these, so every candidate must pass the public check
+    for cap in range(2, 41):
+        for seq in shape_candidates(cap):
+            assert _check_sequence(seq) == seq and seq[-1] < cap, (cap, seq)
+    assert shape_candidates(2) == []
+    assert shape_candidates(4) == [(2,), (2, 3)]
+
+
+def test_unchecked_k_of_matches_exact_d():
+    # k is the unique k >= 2 with d(k-1,m) <= 1 < d(k,m), d(m+1,m) = 2
+    for seq in shape_candidates(40):
+        m = len(seq)
+        ks = [k for k in range(2, m + 2)
+              if d_fn(k - 1, m, seq) <= 1 and (k > m or d_fn(k, m, seq) > 1)]
+        assert ks == [_k_of(seq)], seq
+
+
 def test_tail_sequences_dominate_radical_term():
     # when m >= 2k(m)+2, d(k+1,m) exceeds 1 + c_4(k+1,m)
     rnd = random.Random(11)
@@ -109,6 +139,14 @@ def test_shape_candidates_contains_known_rows():
     cands = set(shape_candidates(131))
     for seq in PUBLISHED_TABLE:
         assert seq in cands
+
+
+def test_exceptional_table_rejects_low_ceiling():
+    # the largest bound below cap 11 is 3649, for (2, 3, 5, 7)
+    assert exceptional_table(11, ceiling=3649) == exceptional_table(11)
+    for ceiling in (3648, 56, 1, 0):
+        with pytest.raises(ValueError):
+            exceptional_table(11, ceiling)
 
 
 def test_is_exceptional():
