@@ -4,6 +4,7 @@ character model of PSL(2,p) acting on cosets of a maximal dihedral
 subgroup, and the quadric-point model of PSL(2,q^2) acting on cosets
 of PGL(2,q)."""
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .field import (
@@ -58,44 +59,38 @@ def psl2_order(m, p):
 
 
 def psl2_elements(p):
-    """All p(p^2-1)/2 canonical matrices of PSL(2, p)."""
-    elems = set()
-    for b in range(p):
-        for c in range(p):
-            bc = b * c % p
-            for a in range(1, p):
-                d = (1 + bc) * pow(a, -1, p) % p
-                elems.add(psl2_canon((a, b, c, d), p))
-            if b:
-                cc = (-pow(b, -1, p)) % p
-                for d in range(p):
-                    elems.add(psl2_canon((0, b, cc, d), p))
+    """All p(p^2-1)/2 canonical matrices of PSL(2, p), in sorted order.
+
+    A canonical matrix with a = 0 has b in [1, (p-1)/2], c = -1/b and any
+    d; one with a != 0 has a in [1, (p-1)/2], any b and c, and
+    d = (1 + bc)/a. Listing them in that nesting order sorts them."""
+    half = (p - 1) // 2
+    elems = []
+    for b in range(1, half + 1):
+        c = -pow(b, -1, p) % p
+        elems += [(0, b, c, d) for d in range(p)]
+    for a in range(1, half + 1):
+        a_inv = pow(a, -1, p)
+        for b in range(p):
+            elems += [(a, b, c, (1 + b * c) * a_inv % p) for c in range(p)]
     assert len(elems) == p * (p * p - 1) // 2
-    return sorted(elems)
+    return elems
 
 
-def psl2_generate(gens, p):
-    """Closure of the given matrices under multiplication."""
-    seen = {PSL2_ID}
-    frontier = [PSL2_ID]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = psl2_mul(x, g, p)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen)
+def _need_odd_prime(p):
+    if p < 3 or not is_prime(p):
+        raise ValueError("need an odd prime p, got %d" % p)
 
 
 def psl2_dihedral_subgroup(p):
     """The maximal dihedral subgroup of order p-1 (diagonal and
     antidiagonal matrices) with its two generators."""
+    _need_odd_prime(p)
     g = min(primitive_roots(p))
     gens = [psl2_canon((g, 0, 0, pow(g, -1, p)), p),
             psl2_canon((0, -1, 1, 0), p)]
-    sub = psl2_generate(gens, p)
-    assert len(sub) == p - 1
+    sub = _bounded_closure(gens, p, p - 1)
+    assert sub is not None and len(sub) == p - 1
     return sub, gens
 
 
@@ -103,8 +98,12 @@ def psl2_subgroup_scan(p, order_a, order_b, order_ab, size):
     """First subgroup (in deterministic scan order) generated by an
     element of order order_a and one of order order_b whose product has
     order order_ab, of exactly the given size."""
+    _need_odd_prime(p)
     elems = psl2_elements(p)
-    a = next(m for m in elems if psl2_order(m, p) == order_a)
+    a = next((m for m in elems if psl2_order(m, p) == order_a), None)
+    if a is None:
+        raise ValueError("PSL(2,%d) has no element of order %d"
+                         % (p, order_a))
     for b in elems:
         if psl2_order(b, p) != order_b:
             continue
@@ -227,21 +226,42 @@ def orbital_graph(space, union):
             raise ValueError(
                 "suborbit %d is not self-paired; include its partner %d"
                 % (s.index, s.paired))
-    edges = set()
-    frontier = []
-    for s in subs:
-        e = (min(space.base, s.points[0]), max(space.base, s.points[0]))
-        if e not in edges:
-            edges.add(e)
-            frontier.append(e)
-    while frontier:
-        u, v = frontier.pop()
-        for g in space.gens:
-            e = (min(g[u], g[v]), max(g[u], g[v]))
-            if e not in edges:
-                edges.add(e)
-                frontier.append(e)
-    g = Graph(space.n, sorted(edges))
+    # Transport the base neighbourhood along a spanning tree of generator
+    # moves: N(g[u]) = g(N(u)).
+    n, gens = space.n, space.gens
+    rows = [None] * n
+    rows[space.base] = sorted(v for s in subs for v in s.points)
+    tree = [None] * n
+    stack = [space.base]
+    while stack:
+        u = stack.pop()
+        for gi, g in enumerate(gens):
+            w = g[u]
+            if rows[w] is None:
+                rows[w] = [g[x] for x in rows[u]]
+                tree[w] = (gi, u)
+                stack.append(w)
+    if None in rows:
+        raise ValueError("generators do not act transitively")
+    # Every generator maps each row onto the row of its image, so the
+    # directed pairs form a group-invariant set that holds the base pairs
+    # and lies in their orbit: they are exactly that orbit. Tree moves hold
+    # by construction. This fails when a "suborbit" is not an orbit of the
+    # full base stabilizer.
+    for row in rows:
+        row.sort()
+    for gi, g in enumerate(gens):
+        for u, row in enumerate(rows):
+            w = g[u]
+            if tree[w] != (gi, u) and sorted([g[x] for x in row]) != rows[w]:
+                raise ValueError("the suborbit union is not invariant "
+                                 "under the action")
+    # An invariant set of pairs is symmetric when its base row is, so each
+    # edge can be read from the row of its lower end.
+    if not all(space.base in rows[x] for x in rows[space.base]):
+        raise ValueError("the suborbit union is not closed under pairing")
+    g = Graph(n, ((u, v) for u, row in enumerate(rows)
+                  for v in row[bisect_right(row, u):]))
     want = sum(s.size for s in subs)
     assert g.is_regular() and g.valency() == want
     return g
@@ -407,7 +427,7 @@ def _suborbit_names(p):
 
 
 def dihedral_model(p):
-    if p % 4 != 1 or p < 13:
+    if p % 4 != 1 or p < 13 or not is_prime(p):
         raise ValueError("need a prime p = 1 (mod 4), p >= 13")
     labels = [INF] + sorted(
         {_char_class(xi, eta, p) for xi in range(p) for eta in range(1, p)})
@@ -786,15 +806,18 @@ def omega_graph(model, lam):
     q, theta = model.q, model.theta
     if lam not in model.suborbits:
         raise ValueError("no suborbit with value %r" % (lam,))
-    n = len(model.points)
+    points = model.points
+    inv2 = pow(2, -1, q)
+    hits = (lam, q - lam)
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _form(model.points[i], model.points[j], q, theta)
-            h = v * pow(2, -1, q) % q
-            if min(h, q - h) == lam:
-                edges.append((i, j))
-    return Graph(n, edges)
+    for i, (x0, x1, x2, x3) in enumerate(points):
+        # half of _form(points[i], y) as coefficients of y
+        c0, c1 = x1 * inv2 % q, x0 * inv2 % q
+        c2, c3 = -x2 % q, theta * x3 % q
+        edges += [(i, j) for j, (y0, y1, y2, y3)
+                  in enumerate(points[i + 1:], i + 1)
+                  if (c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3) % q in hits]
+    return Graph(len(points), edges)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,12 @@ def _bad_budget(args):
 
 
 def _ints(s):
-    return [int(x) for x in s.split(",") if x.strip() != ""]
+    """The --orders list; anything but comma-separated integers is bad
+    input."""
+    try:
+        return [int(x) for x in s.split(",") if x.strip() != ""]
+    except ValueError:
+        _reject("--orders must be comma-separated integers, got %r" % s)
 
 
 def _descriptor(args, parser):
@@ -95,8 +100,11 @@ def _descriptor(args, parser):
         "--family %s requires --%s" % (fam, flag))
     if fam in ("metacirculant", "fermat"):
         path = need("spec", args.spec)
-        with open(path) as fh:
-            spec = parse_family_spec(fh.read())
+        try:
+            with open(path) as fh:
+                spec = parse_family_spec(fh.read())
+        except (OSError, ValueError) as e:
+            _reject("--spec %s: %s" % (path, e))
         got = "metacirculant" if isinstance(spec, MetacirculantSpec) \
             else "fermat"
         if got != fam:
@@ -159,27 +167,27 @@ def _cmd_construct(args, parser):
 
 
 def _space_for(args, parser):
-    if args.space == "dihedral":
-        if args.p is None:
-            parser.error("--space dihedral requires --p")
-        return dihedral_model(args.p).space
-    if args.space == "psl2cosets":
-        if args.p is None:
-            parser.error("--space psl2cosets requires --p")
+    """The coset space named by the flags; parameters the builders reject
+    are reported as bad input."""
+    if args.space == "triple":
+        return alternating_triple_space()
+    if args.p is None:
+        parser.error("--space %s requires --p" % args.space)
+    try:
+        if args.space == "dihedral":
+            return dihedral_model(args.p).space
         if args.orders:
             orders = _ints(args.orders)
             if len(orders) != 3:
                 _reject("--orders needs three generator orders a,b,ab")
-            oa, ob, oab = orders
             if args.size is None:
                 parser.error("--orders also needs --size")
-            sub, gens = psl2_subgroup_scan(args.p, oa, ob, oab, args.size)
+            sub, gens = psl2_subgroup_scan(args.p, *orders, args.size)
         else:
             sub, gens = psl2_dihedral_subgroup(args.p)
         return psl2_coset_space(args.p, sub, gens)
-    if args.space == "triple":
-        return alternating_triple_space()
-    parser.error("unknown space %r" % args.space)
+    except ValueError as e:
+        _reject("--space %s --p %d: %s" % (args.space, args.p, e))
 
 
 def _cmd_suborbits(args, parser):

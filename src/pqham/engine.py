@@ -5,6 +5,7 @@ sporadic actions, and a survey driver."""
 
 import hashlib
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,8 +64,11 @@ class Certificate:
 def graph_fingerprint(g):
     h = hashlib.sha256()
     h.update(("%d;%d;" % (g.n, g.edge_count)).encode())
-    for u, v in g.edges():
-        h.update(("%d,%d;" % (u, v)).encode())
+    for u, row in enumerate(g.adjacency):
+        later = row[bisect_right(row, u):]
+        if later:
+            pre = "%d," % u
+            h.update((pre + (";" + pre).join(map(str, later)) + ";").encode())
     return h.hexdigest()[:16]
 
 

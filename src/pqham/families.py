@@ -230,13 +230,17 @@ def parse_family_spec(text):
         kv[k.strip()] = v.strip()
     fam = kv.get("family")
     ints = lambda s: frozenset(int(x) for x in s.split(",") if x.strip() != "")
-    if fam == "metacirculant":
-        m = int(kv["m"])
-        tails = tuple(ints(kv.get("T%d" % i, "")) for i in range(m // 2 + 1))
-        return MetacirculantSpec(m, int(kv["n"]), int(kv["alpha"]), tails)
-    if fam == "fermat":
-        return FermatSpec(int(kv["p"]), int(kv["q"]),
-                          ints(kv.get("S", "")), ints(kv["T"]))
+    try:
+        if fam == "metacirculant":
+            m = int(kv["m"])
+            tails = tuple(ints(kv.get("T%d" % i, ""))
+                          for i in range(m // 2 + 1))
+            return MetacirculantSpec(m, int(kv["n"]), int(kv["alpha"]), tails)
+        if fam == "fermat":
+            return FermatSpec(int(kv["p"]), int(kv["q"]),
+                              ints(kv.get("S", "")), ints(kv["T"]))
+    except KeyError as e:
+        raise ValueError("%s spec has no %s= line" % (fam, e.args[0]))
     raise ValueError("unknown family %r" % fam)
 
 

@@ -11,7 +11,9 @@ from .graphs import Graph, Multigraph
 def is_automorphism(g, perm):
     if sorted(perm) != list(range(g.n)):
         return False
-    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+    sets = g._adjsets
+    return all(sets[perm[u]].issuperset([perm[v] for v in row])
+               for u, row in enumerate(g.adjacency))
 
 
 def permutation_orbits(*perms):

@@ -1,10 +1,13 @@
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
 from pqham.actions import (
     INF,
     PSL2_ID,
+    Suborbit,
+    _form,
     action_space,
     alternating_triple_space,
     dihedral_model,
@@ -54,6 +57,28 @@ def test_psl2_arithmetic():
     assert psl2_order(a, p) == 13
     els = psl2_elements(p)
     assert len(els) == p * (p * p - 1) // 2
+
+
+def test_psl2_elements_are_the_sorted_canonical_matrices():
+    for p in (5, 7, 11, 13):
+        brute = sorted({psl2_canon(m, p) for m in product(range(p), repeat=4)
+                        if (m[0] * m[3] - m[1] * m[2]) % p == 1})
+        assert psl2_elements(p) == brute
+
+
+def test_psl2_builders_reject_bad_parameters():
+    for p in (-5, 0, 1, 2, 9, 12):
+        with pytest.raises(ValueError):
+            psl2_dihedral_subgroup(p)
+        with pytest.raises(ValueError):
+            psl2_subgroup_scan(p, 2, 3, 3, 12)
+    with pytest.raises(ValueError):
+        psl2_subgroup_scan(13, 0, 3, 3, 12)  # no element of order 0
+    with pytest.raises(ValueError):
+        psl2_subgroup_scan(13, 2, 3, 7, 12)
+    for p in (5, 12, 21, 25):
+        with pytest.raises(ValueError):
+            dihedral_model(p)
 
 
 def test_psl2_dihedral_subgroup():
@@ -115,6 +140,61 @@ def test_orbital_graph_rejects_half_of_paired_union():
     i = m.names[("half", 1)]
     with pytest.raises(ValueError):
         orbital_graph(m.space, (i,))
+
+
+def reference_orbital_graph(space, union):
+    """Closure of the edges from the base to each suborbit's first point
+    under the generators."""
+    edges = {tuple(sorted((space.base, space.suborbits[i].points[0])))
+             for i in union}
+    frontier = list(edges)
+    while frontier:
+        u, v = frontier.pop()
+        for g in space.gens:
+            e = (g[u], g[v]) if g[u] < g[v] else (g[v], g[u])
+            if e not in edges:
+                edges.add(e)
+                frontier.append(e)
+    return Graph(space.n, edges)
+
+
+def closed_unions(space):
+    classes = sorted({(s.index, s.paired) if s.index < s.paired
+                      else (s.paired, s.index) if s.paired < s.index
+                      else (s.index,)
+                      for s in space.suborbits if s.points != (space.base,)})
+    for r in range(1, len(classes) + 1):
+        for combo in combinations(classes, r):
+            yield [i for cls in combo for i in cls]
+
+
+def a4_coset_space():
+    return psl2_coset_space(13, *psl2_subgroup_scan(13, 2, 3, 3, 12))
+
+
+def test_orbital_graph_equals_edge_orbit_closure():
+    for sp, classes in ((alternating_triple_space(), 3),
+                        (dihedral_model(13).space, 9), (a4_coset_space(), 9)):
+        unions = list(closed_unions(sp))
+        assert len(unions) == 2 ** classes - 1
+        for union in unions:
+            assert orbital_graph(sp, union) == \
+                reference_orbital_graph(sp, union), union
+
+
+def test_orbital_graph_rejects_a_union_the_stabilizer_moves():
+    # A space that knows only one of the stabilizer's two generators: its
+    # "suborbit" is an orbit of that generator alone, which the other moves.
+    sp = a4_coset_space()
+    true = next(s for s in sp.suborbits if s.size == 12 and s.self_paired)
+    part = next(o for o in permutation_orbits(sp.stab_gens[0])
+                if true.points[0] in o)
+    assert set(part) < set(true.points)
+    subs = list(sp.suborbits)
+    subs[true.index] = Suborbit(true.index, tuple(sorted(part)), true.index)
+    bad = replace(sp, stab_gens=sp.stab_gens[:1], suborbits=tuple(subs))
+    with pytest.raises(ValueError):
+        orbital_graph(bad, (true.index,))
 
 
 def test_dihedral_model_smallest():
@@ -296,6 +376,18 @@ def test_omega_graph_valencies_q5():
     for lam, val in ((0, 10), (1, 24), (2, 30)):
         g = omega_graph(m, lam)
         assert g.is_regular() and g.valency() == val
+
+
+def test_omega_graph_equals_form_definition():
+    m = omega_model(5)
+    n = len(m.points)
+    for lam in m.suborbits:
+        want = Graph(n, [
+            (i, j) for i, j in combinations(range(n), 2)
+            for h in [_form(m.points[i], m.points[j], m.q, m.theta)
+                      * pow(2, -1, m.q) % m.q]
+            if min(h, m.q - h) == lam])
+        assert omega_graph(m, lam) == want
 
 
 def test_omega_model_validation():

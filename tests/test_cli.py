@@ -170,6 +170,8 @@ def test_bad_parameters_exit_2_one_line(capsys):
                   "2,3,3", "--size", "12", "--index", "99"],
                  ["suborbits", "--space", "psl2cosets", "--p", "13",
                   "--orders", "2,3", "--size", "12"],
+                 ["construct", "--family", "psl2sub", "--p", "13", "--orders",
+                  "a,3,3", "--size", "12", "--index", "1"],
                  ["construct", "--family", "gp", "--n", "2", "--k", "1"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -189,3 +191,40 @@ def test_budget_env_read_only_by_search_commands(capsys, monkeypatch):
     assert e.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_bad_suborbit_spaces_exit_2_one_line(capsys):
+    for argv in (["--space", "dihedral", "--p", "12"],
+                 ["--space", "dihedral", "--p", "21"],
+                 ["--space", "psl2cosets", "--p", "12"],
+                 ["--space", "psl2cosets", "--p", "1"],
+                 ["--space", "psl2cosets", "--p", "13", "--orders", "2,3,7",
+                  "--size", "12"],
+                 ["--space", "psl2cosets", "--p", "13", "--orders", "0,3,3",
+                  "--size", "12"],
+                 ["--space", "psl2cosets", "--p", "13", "--orders", "a,3,3",
+                  "--size", "12"]):
+        with pytest.raises(SystemExit) as e:
+            main(["suborbits", *argv])
+        assert e.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+
+
+def test_bad_spec_files_exit_2_one_line(capsys, tmp_path):
+    texts = {"noq": "family=fermat\np=5\nS=\nT=1\n",
+             "badq": "family=fermat\np=5\nq=x\nS=\nT=1\n",
+             "nom": "family=metacirculant\nn=5\nalpha=2\n",
+             "unknown": "family=circulant\n"}
+    paths = [str(tmp_path / "missing.spec")]
+    for name, text in texts.items():
+        path = tmp_path / (name + ".spec")
+        path.write_text(text)
+        paths.append(str(path))
+    for path in paths:
+        for family in ("fermat", "metacirculant"):
+            with pytest.raises(SystemExit) as e:
+                main(["construct", "--family", family, "--spec", path])
+            assert e.value.code == 2, path
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, path

@@ -17,6 +17,7 @@ from pqham.engine import (
     survey_descriptors,
     verify,
 )
+from pqham.actions import orbital_graph, psl2_coset_space, psl2_subgroup_scan
 from pqham.families import MetacirculantSpec
 from pqham.graphs import gp
 
@@ -95,6 +96,15 @@ def test_prove_strategies():
 def test_fingerprint_distinguishes_graphs():
     assert graph_fingerprint(gp(7, 2)) != graph_fingerprint(gp(7, 3))
     assert graph_fingerprint(gp(7, 2)) == graph_fingerprint(gp(7, 2))
+
+
+def test_fingerprint_digests_pinned():
+    # the digests of sha256 over "n;m;" and then "u,v;" for every edge u < v
+    assert graph_fingerprint(gp(7, 2)) == "4380bc958fc52c92"
+    assert graph_fingerprint(gp(5, 2)) == "5e1be7e9132bf2b3"  # Petersen
+    sp = psl2_coset_space(13, *psl2_subgroup_scan(13, 2, 3, 3, 12))
+    assert graph_fingerprint(orbital_graph(sp, (1,))) == "eb7b369f39f72d58"
+    assert graph_fingerprint(orbital_graph(sp, (8,))) == "6bc96d91028c93f0"
 
 
 def test_budget_exhaustion_is_proof_failure():

@@ -153,3 +153,12 @@ def test_spec_file_round_trips():
         assert parse_family_spec(format_family_spec(spec)) == spec
     with pytest.raises(ValueError):
         parse_family_spec("family=unknown\n")
+
+
+def test_spec_parse_errors_are_value_errors():
+    for text in ("family=fermat\np=5\nS=\nT=1\n",  # no q
+                 "family=fermat\np=5\nq=x\nS=\nT=1\n",
+                 "family=metacirculant\nm=2\nalpha=2\nT0=1,4\nT1=0\n",
+                 "p=5\nq=3\n"):
+        with pytest.raises(ValueError):
+            parse_family_spec(text)

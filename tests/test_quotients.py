@@ -17,6 +17,7 @@ from pqham.quotients import (
     Symbol,
     format_symbol,
     graph_from_symbol,
+    is_automorphism,
     lift_closed_walk,
     permutation_orbits,
     quotient,
@@ -67,6 +68,17 @@ def test_verify_semiregular_examples():
     not_aut = list(range(10))
     not_aut[0], not_aut[2] = 2, 0
     assert verify_semiregular(PETERSEN, not_aut) is None
+
+
+def test_is_automorphism():
+    assert is_automorphism(PETERSEN, PET_RHO)
+    assert is_automorphism(O4, O4_RHO)
+    swap = list(range(10))
+    swap[0], swap[2] = 2, 0  # maps the edge (0, 4) to the non-edge (2, 4)
+    assert not is_automorphism(PETERSEN, swap)
+    assert not is_automorphism(PETERSEN, [0] * 10)
+    assert not is_automorphism(PETERSEN, PET_RHO[:9] + [0])
+    assert not is_automorphism(PETERSEN, list(range(9)))
 
 
 def test_permutation_orbits():
