@@ -2,7 +2,6 @@
 coprime-split inequalities, the exceptional-sequence table with its bounds,
 and the even-quartic primitive-root exception sets."""
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -173,19 +172,34 @@ def _is_exceptional(seq):
 
 def shape_candidates(qm_cap=131):
     """All strictly increasing prime sequences starting at 2 with
-    q_m < qm_cap that can satisfy m <= 2k(m)+1: the threshold index
+    q_m < qm_cap that satisfy m <= 2k(m)+1: the threshold index
     analysis caps the shapes at m<=5 (any tail), m<=7 starting 2,3 or
     2,5, and m=9 starting 2,3,5."""
     pool = [q for q in range(3, qm_cap) if is_prime(q)]
     seen = set()
+
+    def extend(seq, rest, i, m):
+        # False when the smallest completion seq + rest[i:...] fails
+        # m <= 2k(m)+1: raising any q_j raises every d(j,m) and so can only
+        # lower k(m), so every larger choice at this position fails too
+        low = seq + tuple(rest[i:i + m - len(seq)])
+        if len(low) < m or m > 2 * _k_of(low) + 1:
+            return False
+        if len(seq) == m:
+            seen.add(seq)
+        else:
+            for j in range(i, len(rest)):
+                if not extend(seq + (rest[j],), rest, j + 1, m):
+                    break
+        return True
+
     for start, lengths in (((2,), range(5)), ((2, 3), range(6)),
                            ((2, 5), range(6)), ((2, 3, 5), (6,))):
         if start[-1] >= qm_cap:
             continue
         rest = [q for q in pool if q > start[-1]]
         for r in lengths:
-            for tail in itertools.combinations(rest, r):
-                seen.add(start + tail)
+            extend(start, rest, 0, len(start) + r)
     return sorted(seen)
 
 
@@ -214,14 +228,19 @@ def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
     split, and qualifying prime lists; sorted by sequence. Raises
     ValueError when the ceiling is too low to bound some sequence."""
     records = []
+    dead = None
     # candidates are strictly increasing primes from 2 by construction,
-    # so the unchecked forms of k_of and is_exceptional suffice
+    # so the unchecked form of is_exceptional suffices
     for seq in shape_candidates(qm_cap):
-        m = len(seq)
-        if m > 2 * _k_of(seq) + 1:
+        if seq[:-1] == dead:
             continue
+        # the split with t empty never holds, so a non-exceptional seq has
+        # q_m in t; a larger q_m raises 2phi(t)/t and x = radical+1, both
+        # right-hand terms fall in x, and that split still holds
         if not _is_exceptional(seq):
+            dead = seq[:-1]
             continue
+        m = len(seq)
         best = None  # (k, -n) so ties prefer the shorter t
         for n in range(m + 1):
             k = bound_for_split(prod(seq[:n]), seq[n:], ceiling)

@@ -10,5 +10,5 @@ from pqham.residues import exceptional_table
 
 @pytest.fixture(scope="session")
 def table131():
-    """The full exceptional-sequence table (expensive; built once)."""
+    """The full exceptional-sequence table."""
     return exceptional_table(131)

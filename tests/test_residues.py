@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -7,6 +10,7 @@ from pqham.field import is_prime, prime_factors
 from pqham.residues import (
     BoundRecord,
     _check_sequence,
+    _is_exceptional,
     _k_of,
     alpha1_holds,
     bound_for_split,
@@ -86,13 +90,68 @@ def test_shape_candidates_are_valid_sequences_below_cap():
     assert shape_candidates(4) == [(2,), (2, 3)]
 
 
+def _reference_shapes(cap):
+    # every shape of the four families, unpruned, built independently of
+    # shape_candidates
+    pool = [q for q in range(3, cap) if is_prime(q)]
+    seen = set()
+    for start, lengths in (((2,), range(5)), ((2, 3), range(6)),
+                           ((2, 5), range(6)), ((2, 3, 5), (6,))):
+        if start[-1] >= cap:
+            continue
+        rest = [q for q in pool if q > start[-1]]
+        for r in lengths:
+            for tail in itertools.combinations(rest, r):
+                seen.add(start + tail)
+    return sorted(seen)
+
+
+def _live_reference_shapes(cap):
+    return [seq for seq in _reference_shapes(cap)
+            if len(seq) <= 2 * _k_of(seq) + 1]
+
+
+def test_shape_candidates_match_filtered_brute_force():
+    for cap in range(2, 61):
+        assert shape_candidates(cap) == _live_reference_shapes(cap), cap
+    assert len(shape_candidates(131)) == 55209
+
+
 def test_unchecked_k_of_matches_exact_d():
-    # k is the unique k >= 2 with d(k-1,m) <= 1 < d(k,m), d(m+1,m) = 2
-    for seq in shape_candidates(40):
+    # k is the unique k >= 2 with d(k-1,m) <= 1 < d(k,m), d(m+1,m) = 2;
+    # the unpruned shapes keep the sequences with small k
+    for seq in _reference_shapes(40):
         m = len(seq)
         ks = [k for k in range(2, m + 2)
               if d_fn(k - 1, m, seq) <= 1 and (k > m or d_fn(k, m, seq) > 1)]
         assert ks == [_k_of(seq)], seq
+
+
+def test_split_with_empty_t_never_holds():
+    for seq in _reference_shapes(60):
+        radical = prod(seq)
+        assert not alpha1_holds(radical, (), radical), seq
+
+
+def test_raising_last_prime_keeps_non_exceptional():
+    rnd = random.Random(19)
+    pool = [q for q in range(3, 300) if is_prime(q)]
+    checked = 0
+    while checked < 100:
+        seq = (2,) + tuple(sorted(rnd.sample(pool, rnd.randint(0, 6))))
+        if is_exceptional(seq):
+            continue
+        checked += 1
+        for q in pool:
+            if q > seq[-1]:
+                assert not is_exceptional(seq[:-1] + (q,)), (seq, q)
+
+
+def test_exceptional_table_matches_brute_force():
+    for cap in range(3, 41):
+        want = [seq for seq in _live_reference_shapes(cap)
+                if _is_exceptional(seq)]
+        assert [r.sequence for r in exceptional_table(cap)] == want, cap
 
 
 def test_tail_sequences_dominate_radical_term():
@@ -206,6 +265,14 @@ def test_render_table(table131):
     assert csv.splitlines()[0].startswith("sequence;k;type")
     row2 = [l for l in csv.splitlines() if l.startswith("2;")]
     assert row2 == ["2;56;3;3,5,17;5"]
+
+
+def test_render_table_pinned(table131):
+    # md5 of `pqham tables --qm-cap 131` stdout, text and csv
+    digests = [hashlib.md5((render_table(table131, fmt) + "\n").encode())
+               .hexdigest() for fmt in ("text", "csv")]
+    assert digests == ["41060ef0ba9cf217a32f655a79e2d353",
+                       "753c6d0d338504b9f6fe17c9e5486c1b"]
 
 
 def test_primitive_square_witness_examples():
