@@ -1,6 +1,6 @@
-"""Hamiltonicity certification: per-family graph construction, strategy
-dispatch (quotient-cycle lifting, block stitching, budgeted direct
-search), verifiable certificates, valency arithmetic for the two
+"""Hamiltonicity certification: per-family graph construction, a
+two-rung proof (quotient-cycle lifting, then budgeted direct search),
+verifiable certificates, valency arithmetic for the two
 sporadic actions, and a survey driver."""
 
 import hashlib
@@ -34,13 +34,7 @@ from .graphs import (
     is_isomorphic,
     verify_hamilton_cycle,
 )
-from .quotients import (
-    lift_closed_walk,
-    quotient,
-    semiregular_isomorphism,
-    stitch_isolates,
-    verify_quotient_cycle,
-)
+from .quotients import lift_closed_walk, quotient
 
 
 class NotHamiltonianException(Exception):
@@ -238,11 +232,10 @@ def _quotient_lift(g, q, trace):
         cyc = [orb[(t * i) % n] for i in range(n)]
         trace.append("voltage=%d" % t)
         return cyc
-    simple = q.graph.simple()
     doubles = sorted((a, b) for a in range(m) for b in range(a + 1, m)
                      if q.d(a, b) >= 2)
     for a, b in doubles:
-        path = hamilton_path(simple, a, b)
+        path = hamilton_path(q.graph, a, b)
         if path is None:
             continue
         out = lift_closed_walk(q, path)
@@ -251,59 +244,13 @@ def _quotient_lift(g, q, trace):
             trace.append("double_edge=%d-%d" % (a, b))
             return list(out.cycle)
     # no usable double edge: a plain quotient cycle may still lift fully
-    cyc = hamilton_cycle(simple)
+    cyc = hamilton_cycle(q.graph)
     if cyc is not None:
         out = lift_closed_walk(q, cyc)
         if out.full:
             trace.append("quotient_cycle=%s" % ",".join(map(str, cyc)))
             return list(out.cycle)
     return None
-
-
-def _omega_blocks(q, model, trace):
-    """The block construction for the quadric graphs with form value 0:
-    the double-edge subgraph on the outer blocks decomposes into at most
-    two cycles, which are stitched through the inner blocks and lifted."""
-    order = {v: a for a, blk in enumerate(q.orbits) for v in blk}
-    inner = sorted(order[model.blocks[b][0]] for b in model.inner_blocks)
-    outer = sorted(order[model.blocks[b][0]] for b in model.outer_blocks)
-    for a in inner:
-        for b in outer:
-            if q.d(a, b) < 1:
-                return None
-    # reduced graph: outer blocks joined by multiplicity-2 edges
-    adj = {a: [b for b in outer if b != a and q.d(a, b) == 2] for a in outer}
-    if any(len(v) != 2 for v in adj.values()):
-        return None
-    comps = []
-    left = set(outer)
-    while left:
-        start = min(left)
-        cyc = [start]
-        prev, cur = None, start
-        while True:
-            nxt = next(w for w in adj[cur] if w != prev)
-            if nxt == start:
-                break
-            cyc.append(nxt)
-            prev, cur = cur, nxt
-        comps.append(cyc)
-        left -= set(cyc)
-    trace.append("outer_components=%d" % len(comps))
-    if len(comps) > 2:
-        raise ProofFailure("outer double-edge graph has %d components"
-                           % len(comps))
-    if len(comps) == 2:
-        walk = stitch_isolates(q, comps[0], inner, second=comps[1])
-    else:
-        walk = stitch_isolates(q, comps[0], inner)
-    if not verify_quotient_cycle(q, walk):
-        return None
-    out = lift_closed_walk(q, walk)
-    if not out.full:
-        return None
-    trace.append("quotient_cycle=%s" % ",".join(map(str, walk)))
-    return list(out.cycle)
 
 
 def _is_petersen(g):
@@ -313,7 +260,9 @@ def _is_petersen(g):
 
 def prove(desc, budget=10 ** 7):
     """A verified Hamilton certificate for the descriptor's graph, or
-    NotHamiltonianException (Petersen) / ProofFailure."""
+    NotHamiltonianException (Petersen) / ProofFailure. The cycle is a
+    lifted quotient cycle when the instance's automorphism is
+    semiregular and one lifts fully, else the budgeted direct search's."""
     g, rho = build_instance(desc)
     if _is_petersen(g):
         raise NotHamiltonianException("the Petersen graph %s" % desc)
@@ -327,25 +276,8 @@ def prove(desc, budget=10 ** 7):
         except ValueError:
             pass  # rho is not semiregular: no quotient strategy applies
     if q is not None:
-        if desc.family == "omega" and desc.params[1] == 0:
-            cycle = _omega_blocks(q, _omega_model(desc.params[0]), trace)
-            strategy = "omega-blocks"
-        if cycle is None:
-            cycle = _quotient_lift(g, q, trace)
-            strategy = "quotient-lift"
-    if cycle is None and desc.family == "dihedral" \
-            and desc.params[1].endswith("-"):
-        # the minus split graph is isomorphic to its plus twin; transfer
-        # the twin's cycle through an explicit isomorphism
-        twin = Descriptor("dihedral", (desc.params[0],
-                                       desc.params[1][:-1] + "+"))
-        g2, rho2 = build_instance(twin)
-        iso = semiregular_isomorphism(g2, rho2, g, rho)
-        if iso is not None:
-            cert2 = prove(twin, budget=budget)
-            cycle = [iso[v] for v in cert2.cycle]
-            trace.append("isomorph_of=%s" % twin)
-            strategy = "isomorph-transfer"
+        cycle = _quotient_lift(g, q, trace)
+        strategy = "quotient-lift"
     if cycle is None:
         try:
             cycle = hamilton_cycle(g, budget=budget)

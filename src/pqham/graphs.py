@@ -1,5 +1,5 @@
-"""Simple graphs and multigraphs, exact Hamilton search with certificates,
-classical hamiltonicity certificates, and generalized Petersen machinery."""
+"""Simple graphs, exact Hamilton search with certificates, classical
+hamiltonicity certificates, and generalized Petersen machinery."""
 
 from itertools import combinations
 
@@ -71,48 +71,6 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count)
-
-
-class Multigraph:
-    """Undirected multigraph: edge multiplicities keyed by sorted vertex
-    pair, plus per-vertex loop counts."""
-
-    def __init__(self, n, mult=None, loops=None):
-        self.n = n
-        self.mult = {}
-        for (u, v), c in (mult or {}).items():
-            if u == v:
-                raise ValueError("loop (%d,%d) belongs in loops" % (u, v))
-            if c < 1:
-                raise ValueError("multiplicity must be >= 1")
-            key = (u, v) if u < v else (v, u)
-            self.mult[key] = self.mult.get(key, 0) + c
-        self.loops = {}
-        for v, c in (loops or {}).items():
-            if c < 1:
-                raise ValueError("loop count must be >= 1")
-            self.loops[v] = c
-
-    def multiplicity(self, u, v):
-        if u == v:
-            return self.loops.get(u, 0)
-        return self.mult.get((u, v) if u < v else (v, u), 0)
-
-    def degree(self, v):
-        return (sum(c for (a, b), c in self.mult.items() if v in (a, b))
-                + 2 * self.loops.get(v, 0))
-
-    def neighbors(self, v):
-        out = sorted({b if a == v else a for (a, b) in self.mult if v in (a, b)})
-        return tuple(out)
-
-    def simple(self):
-        """Underlying simple graph (multiplicities and loops dropped)."""
-        return Graph(self.n, list(self.mult))
-
-    def __repr__(self):
-        return "Multigraph(n=%d, m=%d, loops=%d)" % (
-            self.n, sum(self.mult.values()), sum(self.loops.values()))
 
 
 def verify_hamilton_cycle(g, cycle):

@@ -1,11 +1,10 @@
-"""Semiregular automorphisms, orbit quotient multigraphs, the orbit
-symbol matrix, cycle lifting through cyclic voltages, and isolate
-stitching for quotient Hamilton cycles."""
+"""Semiregular automorphisms, orbit quotient graphs, the orbit symbol
+matrix, and cycle lifting through cyclic voltages."""
 
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import Graph, Multigraph
+from .graphs import Graph
 
 
 def is_automorphism(g, perm):
@@ -79,7 +78,7 @@ class Quotient:
     Orbit A is listed from its lowest vertex by successive application
     of perm; the symbol is taken relative to those lowest vertices, and
     d(A,B) = |S[A][B]|, d(A) = |S[A][A]|."""
-    graph: Multigraph          # d(A,B) multiplicities, d(A)//2 loops
+    graph: Graph               # simple quotient: A ~ B iff d(A,B) >= 1
     orbits: tuple              # m tuples of length n
     symbol: Symbol
 
@@ -116,12 +115,11 @@ def quotient(g, perm):
         for w in g.adjacency[orb[0]]:
             b, t = pos[w]
             row[b].add(t)
-    mult = {(a, b): len(sets[a][b]) for a in range(m)
-            for b in range(a + 1, m) if sets[a][b]}
-    loops = {a: len(sets[a][a]) // 2 for a in range(m) if sets[a][a]}
+    edges = [(a, b) for a in range(m) for b in range(a + 1, m)
+             if sets[a][b]]
     sym = Symbol(n, tuple(o[0] for o in orbs),
                  tuple(tuple(frozenset(s) for s in row) for row in sets))
-    return Quotient(Multigraph(m, mult, loops), tuple(map(tuple, orbs)), sym)
+    return Quotient(Graph(m, edges), tuple(map(tuple, orbs)), sym)
 
 
 def graph_from_symbol(sym):
@@ -213,37 +211,6 @@ def lift_closed_walk(q, walk):
     return LiftOutcome(True, tuple(cyc), 1)
 
 
-def stitch_isolates(q, cycle, isolates, second=None):
-    """Extend quotient cycle(s) to a Hamilton cycle of the quotient by
-    absorbing isolated vertices, each adjacent to every cycle vertex.
-    With two cycles, two isolates splice the components together."""
-    cyc_vertices = list(cycle) + (list(second) if second else [])
-    for w in isolates:
-        for v in cyc_vertices:
-            if q.d(w, v) == 0:
-                raise ValueError("isolate %d not adjacent to %d" % (w, v))
-    isolates = list(isolates)
-    if second is not None:
-        if len(isolates) < 2:
-            raise ValueError("two components need at least 2 isolates")
-        w1, w2 = isolates[0], isolates[1]
-        merged = [w1] + list(cycle) + [w2] + list(second)
-        rest = isolates[2:]
-    else:
-        merged = list(cycle)
-        rest = isolates
-    # absorb each remaining isolate by replacing one cycle edge with a
-    # 2-path; only edges whose endpoints are both original cycle vertices
-    out = list(merged)
-    slots = [i for i in range(len(out))
-             if out[i] in cyc_vertices and out[(i + 1) % len(out)] in cyc_vertices]
-    if len(rest) > len(slots):
-        raise ValueError("not enough cycle edges to absorb the isolates")
-    for w, i in zip(rest, reversed(slots[: len(rest)])):
-        out.insert(i + 1, w)
-    return out
-
-
 def semiregular_isomorphism(g, perm_g, h, perm_h):
     """An isomorphism g -> h carrying perm_g to a power of perm_h, as a
     vertex list, or None.  Both permutations must be semiregular with the
@@ -300,11 +267,3 @@ def semiregular_isomorphism(g, perm_g, h, perm_h):
         if rec(0):
             return [phi[v] for v in range(g.n)]
     return None
-
-
-def verify_quotient_cycle(q, cycle):
-    """True iff cycle is a Hamilton cycle of the quotient multigraph."""
-    m = q.m
-    if len(cycle) != m or len(set(cycle)) != m:
-        return False
-    return all(q.d(cycle[i], cycle[(i + 1) % m]) >= 1 for i in range(m))

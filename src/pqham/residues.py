@@ -228,17 +228,20 @@ def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
     split, and qualifying prime lists; sorted by sequence. Raises
     ValueError when the ceiling is too low to bound some sequence."""
     records = []
-    dead = None
+    # dead[n]: the last length-n prefix seen with a non-exceptional
+    # candidate; candidates sharing a prefix are contiguous in sorted
+    # order, so one prefix per length remembers every live one
+    dead = {}
     # candidates are strictly increasing primes from 2 by construction,
     # so the unchecked form of is_exceptional suffices
     for seq in shape_candidates(qm_cap):
-        if seq[:-1] == dead:
+        if dead.get(len(seq) - 1) == seq[:-1]:
             continue
         # the split with t empty never holds, so a non-exceptional seq has
         # q_m in t; a larger q_m raises 2phi(t)/t and x = radical+1, both
         # right-hand terms fall in x, and that split still holds
         if not _is_exceptional(seq):
-            dead = seq[:-1]
+            dead[len(seq) - 1] = seq[:-1]
             continue
         m = len(seq)
         best = None  # (k, -n) so ties prefer the shorter t

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from pqham.engine import (
@@ -81,16 +83,26 @@ def test_petersen_is_the_exception():
 
 
 def test_prove_strategies():
-    assert prove(Descriptor("omega", (5, 0))).strategy == "omega-blocks"
+    c = prove(Descriptor("omega", (5, 0)))
+    assert c.strategy == "quotient-lift"
+    assert any(t.startswith("double_edge=") for t in c.trace)
     assert prove(Descriptor("dihedral", (13, "S7"))).strategy == \
         "quotient-lift"
-    c = prove(Descriptor("dihedral", (13, "S4-")))
-    assert c.strategy == "isomorph-transfer"
-    assert any(t.startswith("isomorph_of=") for t in c.trace)
+    assert prove(Descriptor("dihedral", (13, "S4-"))).strategy == \
+        "direct-search"
     # PSL(2,13) on the 14 cosets of a Borel subgroup: the distinguished
     # element fixes the base point, so no quotient strategy applies
     c = prove(Descriptor("psl2sub", (13, 2, 3, 6, 78, 1)))
     assert (c.strategy, c.order, c.valency) == ("direct-search", 14, 13)
+    # survey(255): the lift proves every instance but the Petersen
+    # exception and these five
+    rows = survey(255)
+    direct = [r.descriptor for r in rows if r.strategy == "direct-search"]
+    assert direct == ["triple(4)", "dihedral(13,S4+)", "dihedral(13,S4-)",
+                      "psl2sub(13,2,3,3,12,9)", "psl2sub(13,2,3,3,12,10)"]
+    assert Counter(r.strategy for r in rows) == \
+        {"quotient-lift": 22, "direct-search": 5, "-": 1}
+    assert [r.status for r in rows].count("exception") == 1
 
 
 def test_fingerprint_distinguishes_graphs():

@@ -9,7 +9,6 @@ from pqham.engine import Descriptor, build_instance
 from pqham.graphs import (
     BudgetExceeded,
     Graph,
-    Multigraph,
     _search,
     chvatal_certifies,
     find_isomorphism,
@@ -53,17 +52,6 @@ def test_graph_basics():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
-
-
-def test_multigraph_basics():
-    m = Multigraph(3, {(0, 1): 2, (2, 1): 1}, {2: 1})
-    assert m.multiplicity(1, 0) == 2
-    assert m.multiplicity(1, 2) == 1
-    assert m.multiplicity(2, 2) == 1
-    assert m.degree(1) == 3
-    assert m.degree(2) == 3
-    assert m.neighbors(1) == (0, 2)
-    assert m.simple().edges() == [(0, 1), (1, 2)]
 
 
 def test_hamilton_cycle_examples():
