@@ -44,7 +44,6 @@ from .residues import (
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "PQHAM_BUDGET"
-SLOW_ORDER = 1000
 
 
 def _reject(message):
@@ -227,9 +226,7 @@ def _cmd_hamilton(args, parser):
     if _bad_budget(args):
         return 2
     desc = _descriptor(args, parser)
-    g, _ = _instance(desc)
-    if g.n > SLOW_ORDER and not args.slow:
-        parser.error("order %d exceeds %d; pass --slow" % (g.n, SLOW_ORDER))
+    _instance(desc)  # parameters build_instance rejects exit 2 here
     try:
         cert = prove(desc, budget=args.budget)
     except NotHamiltonianException as e:
@@ -313,8 +310,6 @@ def build_parser():
     _add_family_flags(p)
     p.add_argument("--format", choices=["cert", "text"], default="cert")
     p.add_argument("--budget", type=_budget, default=_EnvBudget())
-    p.add_argument("--slow", action="store_true",
-                   help="allow instances of order > %d" % SLOW_ORDER)
     p.set_defaults(func=_cmd_hamilton)
 
     p = subs.add_parser("survey", help="certify every instance up to a bound")

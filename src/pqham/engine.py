@@ -37,11 +37,20 @@ from .graphs import (
 from .quotients import lift_closed_walk, quotient
 
 
-class NotHamiltonianException(Exception):
+class _Uncertified(Exception):
+    """prove ended without a certificate; carries the order and valency
+    of the graph it built."""
+
+    def __init__(self, message, g):
+        super().__init__(message)
+        self.order, self.valency = g.n, g.valency()
+
+
+class NotHamiltonianException(_Uncertified):
     """Raised for the one non-hamiltonian instance."""
 
 
-class ProofFailure(Exception):
+class ProofFailure(_Uncertified):
     """No strategy produced a certificate within the budget."""
 
 
@@ -265,9 +274,9 @@ def prove(desc, budget=10 ** 7):
     semiregular and one lifts fully, else the budgeted direct search's."""
     g, rho = build_instance(desc)
     if _is_petersen(g):
-        raise NotHamiltonianException("the Petersen graph %s" % desc)
+        raise NotHamiltonianException("the Petersen graph %s" % desc, g)
     if not g.is_connected():
-        raise ProofFailure("%s is disconnected" % desc)
+        raise ProofFailure("%s is disconnected" % desc, g)
     trace = ["descriptor=%s" % desc]
     cycle, strategy, q = None, None, None
     if rho is not None:
@@ -282,11 +291,11 @@ def prove(desc, budget=10 ** 7):
         try:
             cycle = hamilton_cycle(g, budget=budget)
         except BudgetExceeded:
-            raise ProofFailure("budget exhausted on %s" % desc)
+            raise ProofFailure("budget exhausted on %s" % desc, g)
         strategy = "direct-search"
         if cycle is None:
             raise NotHamiltonianException(
-                "exhaustive search found no Hamilton cycle in %s" % desc)
+                "exhaustive search found no Hamilton cycle in %s" % desc, g)
     cert = Certificate(g.n, g.valency(), graph_fingerprint(g), tuple(cycle),
                        strategy, tuple(trace))
     # the fingerprint was just taken from g; hashing again proves nothing
@@ -382,22 +391,16 @@ def survey(max_order, budget=10 ** 7):
     rows = []
     for desc in survey_descriptors(max_order):
         t0 = time.time()
-        cert = None
         try:
-            cert = prove(desc, budget=budget)
-            status, strategy = "hamiltonian", cert.strategy
-        except NotHamiltonianException:
-            status, strategy = "exception", "-"
+            outcome = prove(desc, budget=budget)
+            status, strategy = "hamiltonian", outcome.strategy
+        except NotHamiltonianException as e:
+            outcome, status, strategy = e, "exception", "-"
         except ProofFailure as e:
-            status, strategy = "failed: %s" % e, "-"
+            outcome, status, strategy = e, "failed: %s" % e, "-"
         seconds = round(time.time() - t0, 3)
-        if cert is None:
-            g, _ = build_instance(desc)
-            order, valency = g.n, g.valency()
-        else:
-            order, valency = cert.order, cert.valency
-        rows.append(SurveyRow(str(desc), order, valency, status, strategy,
-                              seconds))
+        rows.append(SurveyRow(str(desc), outcome.order, outcome.valency,
+                              status, strategy, seconds))
     return rows
 
 

@@ -448,9 +448,14 @@ def is_isomorphic(g, h):
 
 
 def parse_edge_list(text):
-    """Graph from the text format: header "n m", then one "u v" per line."""
+    """Graph from the text format: header "n m", then one "u v" per line.
+    ValueError on malformed text."""
     lines = [l for l in text.splitlines() if l.strip()]
+    if not lines:
+        raise ValueError("empty edge list")
     n, m = map(int, lines[0].split())
+    if n < 0:
+        raise ValueError("negative vertex count %d" % n)
     edges = [tuple(map(int, l.split())) for l in lines[1 : m + 1]]
     if len(edges) != m:
         raise ValueError("expected %d edges, got %d" % (m, len(edges)))

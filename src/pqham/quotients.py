@@ -2,6 +2,7 @@
 matrix, and cycle lifting through cyclic voltages."""
 
 from dataclasses import dataclass
+from math import gcd
 
 from .field import is_prime
 from .graphs import Graph
@@ -213,57 +214,48 @@ def lift_closed_walk(q, walk):
 
 def semiregular_isomorphism(g, perm_g, h, perm_h):
     """An isomorphism g -> h carrying perm_g to a power of perm_h, as a
-    vertex list, or None.  Both permutations must be semiregular with the
-    same orbit shape; the search runs over orbit bijections, base offsets
-    and the conjugating exponent, which is fast even when a generic
-    isomorphism search is not."""
-    gorbs = _semiregular_orbits(g, perm_g)
-    horbs = _semiregular_orbits(h, perm_h)
-    if gorbs is None or horbs is None:
-        raise ValueError("both permutations must be semiregular")
-    m, n = len(gorbs), len(gorbs[0])
-    if (m, n) != (len(horbs), len(horbs[0])) \
-            or g.edge_count != h.edge_count:
+    vertex list, or None.  ValueError unless both permutations are
+    semiregular; a different orbit shape or edge count gives None.
+
+    The search runs on the two symbols.  Such a map sends orbit i of g to
+    orbit J[i] of h by t -> s[i] + lam*t for a unit lam mod n, so it
+    exists iff S_h[J k][J i] = {s[i] - s[k] + lam*d : d in S_g[k][i]} for
+    all k <= i.  Composing with a power of perm_h, an automorphism of h,
+    makes s[0] = 0.  One explicit-stack depth-first search per lam places
+    the orbits in turn and keeps a placement only if it fits every
+    placed orbit."""
+    qg, qh = quotient(g, perm_g), quotient(h, perm_h)
+    m, n = qg.m, qg.n
+    if (m, n) != (qh.m, qh.n) or g.edge_count != h.edge_count:
         return None
-
-    def compatible(phi, orbit, jmap):
-        # phi maps gorbs[i][t] -> horbs[j][(s + lam*t) % n]; check all
-        # adjacencies between the new orbit and the mapped ones
-        for i2 in jmap:
-            o2 = gorbs[i2]
-            for t, u in enumerate(gorbs[orbit]):
-                pu = phi[u]
-                for t2, v in enumerate(o2):
-                    if v == u:
-                        continue
-                    if g.has_edge(u, v) != h.has_edge(pu, phi[v]):
-                        return False
-        return True
-
+    sg, sh = qg.symbol.sets, qh.symbol.sets
     for lam in range(1, n):
-        phi = {}
-        jmap = {}
-        used = set()
-
-        def rec(i):
-            if i == m:
-                return True
-            for j in range(m):
-                if j in used:
-                    continue
-                for s in range(n):
-                    for t, u in enumerate(gorbs[i]):
-                        phi[u] = horbs[j][(s + lam * t) % n]
-                    jmap[i] = j
-                    used.add(j)
-                    if compatible(phi, i, jmap) and rec(i + 1):
-                        return True
-                    del jmap[i]
-                    used.remove(j)
-            for u in gorbs[i]:
-                phi.pop(u, None)
-            return False
-
-        if rec(0):
-            return [phi[v] for v in range(g.n)]
+        if gcd(lam, n) != 1:
+            continue
+        scaled = [[[lam * d % n for d in cell] for cell in row] for row in sg]
+        place = []  # (J[k], s[k]) for the orbits k placed so far
+        stack = [[(j, 0) for j in reversed(range(m))]]
+        while stack:
+            if not stack[-1]:
+                stack.pop()
+                if place:
+                    place.pop()
+                continue
+            j, s = stack[-1].pop()
+            i = len(place)
+            place.append((j, s))
+            if not all(sh[jk][j] == {(s - sk + d) % n for d in scaled[k][i]}
+                       for k, (jk, sk) in enumerate(place)):
+                place.pop()
+            elif len(place) < m:
+                used = {jk for jk, _ in place}
+                stack.append([(j2, s2) for j2 in reversed(range(m))
+                              if j2 not in used for s2 in reversed(range(n))])
+            else:
+                phi = [None] * g.n
+                for orb, (j, s) in zip(qg.orbits, place):
+                    target = qh.orbits[j]
+                    for t, u in enumerate(orb):
+                        phi[u] = target[(s + lam * t) % n]
+                return phi
     return None

@@ -52,14 +52,20 @@ def test_quotient_command(capsys, tmp_path):
 
 
 def test_hamilton_certificate_verifies(capsys):
-    code, out = run(capsys, "hamilton", "--family", "dihedral", "--p", "13",
-                    "--suborbit", "S7")
-    assert code == 0
-    cert = parse_certificate(out)
-    assert cert.order == 91
     from pqham.engine import Descriptor, build_instance
-    g, _ = build_instance(Descriptor("dihedral", (13, "S7")))
-    assert verify(g, cert)
+    # the second is the order-1891 action of PSL(2,61) on A5 cosets
+    for argv, desc in (
+            (["--family", "dihedral", "--p", "13", "--suborbit", "S7"],
+             Descriptor("dihedral", (13, "S7"))),
+            (["--family", "psl2sub", "--p", "61", "--orders", "2,3,5",
+              "--size", "60", "--index", "1"],
+             Descriptor("psl2sub", (61, 2, 3, 5, 60, 1)))):
+        code, out = run(capsys, "hamilton", *argv)
+        assert code == 0
+        cert = parse_certificate(out)
+        g, _ = build_instance(desc)
+        assert cert.order == g.n
+        assert verify(g, cert)
 
 
 def test_hamilton_text_format(capsys):
@@ -143,13 +149,6 @@ def test_nonpositive_budget_exit_2(capsys, monkeypatch):
         main(["survey", "--max-order", "15"])
     assert e.value.code == 2
     assert capsys.readouterr().err.count("\n") == 1
-
-
-def test_slow_gate(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["hamilton", "--family", "psl2sub", "--p", "61", "--orders",
-              "2,3,5", "--size", "60", "--index", "1"])
-    assert e.value.code == 2
 
 
 def test_tables_respect_qm_cap(capsys):

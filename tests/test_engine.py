@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from pqham import engine
 from pqham.engine import (
     Certificate,
     Descriptor,
@@ -76,8 +77,9 @@ def test_certificate_round_trip():
 
 
 def test_petersen_is_the_exception():
-    with pytest.raises(NotHamiltonianException):
+    with pytest.raises(NotHamiltonianException) as e:
         prove(Descriptor("gp", (5, 2)))
+    assert (e.value.order, e.value.valency) == (10, 3)
     with pytest.raises(NotHamiltonianException):
         prove(PETERSEN)
 
@@ -120,8 +122,9 @@ def test_fingerprint_digests_pinned():
 
 
 def test_budget_exhaustion_is_proof_failure():
-    with pytest.raises(ProofFailure):
+    with pytest.raises(ProofFailure) as e:
         prove(Descriptor("triple", (4,)), budget=10)
+    assert (e.value.order, e.value.valency) == (35, 4)
 
 
 def test_row12_valency_check():
@@ -144,9 +147,19 @@ def test_survey_descriptors_growth():
     assert len(survey_descriptors(35)) == 6
 
 
-def test_survey_small():
+def test_survey_small(monkeypatch):
+    built = []
+
+    def counting(desc):
+        built.append(desc)
+        return build_instance(desc)
+
+    monkeypatch.setattr(engine, "build_instance", counting)
     rows = survey(15)
     assert [r.status for r in rows] == ["exception", "hamiltonian"]
+    # the exception row reads order and valency off the exception
+    assert [(r.order, r.valency) for r in rows] == [(10, 3), (15, 4)]
+    assert len(built) == 2
     out = format_survey(rows)
     assert "exception" in out and "hamiltonian" in out
     csv = format_survey(rows, csv=True)

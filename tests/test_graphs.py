@@ -212,6 +212,9 @@ def test_io_round_trips():
     text = format_edge_list(PETERSEN)
     assert text.splitlines()[0] == "10 15"
     assert parse_edge_list(text) == PETERSEN
+    for bad in ("", " \n\n", "-3 0", "3 1\n0 5", "3 2\n0 1"):
+        with pytest.raises(ValueError):
+            parse_edge_list(bad)
     dot = format_dot(cycle_graph(3))
     assert "0 -- 1;" in dot and dot.startswith("graph g {")
 

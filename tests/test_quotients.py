@@ -1,4 +1,5 @@
 import random
+from math import gcd
 from itertools import combinations
 
 import pytest
@@ -19,8 +20,10 @@ from pqham.quotients import (
     lift_closed_walk,
     permutation_orbits,
     quotient,
+    semiregular_isomorphism,
     verify_semiregular,
 )
+from reference_quotients import brute_semiregular_isomorphism
 
 
 def odd_graph_4():
@@ -232,3 +235,91 @@ def test_random_circulant_quotients():
                                    combinations(range(q.m), 2)
                                    if q.d(a, b) >= 1]
         assert is_isomorphic(graph_from_symbol(q.symbol), g)
+
+
+def circulant(n, jumps):
+    return Graph(n, {(min(v, (v + j) % n), max(v, (v + j) % n))
+                     for v in range(n) for j in jumps})
+
+
+def random_symbol(rnd, m, n):
+    """Symbol of a random graph with an (m, n)-semiregular automorphism:
+    S[j][i] = -S[i][j], and each S[i][i] is symmetric without 0."""
+    sets = [[set() for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for t in range(1, n // 2 + 1):
+            if rnd.random() < 0.3:
+                sets[i][i] |= {t, n - t}
+        for j in range(i + 1, m):
+            sets[i][j] = {t for t in range(n) if rnd.random() < 0.3}
+            sets[j][i] = {(-t) % n for t in sets[i][j]}
+    return Symbol(n, tuple(i * n for i in range(m)),
+                  tuple(tuple(frozenset(c) for c in row) for row in sets))
+
+
+def assert_equivariant_isomorphism(g, perm_g, h, perm_h, phi):
+    assert sorted(phi) == list(range(g.n))
+    assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
+    assert g.edge_count == h.edge_count
+    power = perm_h
+    for _ in range(h.n):
+        if all(phi[perm_g[v]] == power[phi[v]] for v in range(g.n)):
+            return
+        power = [perm_h[v] for v in power]
+    pytest.fail("phi does not carry perm_g to a power of perm_h")
+
+
+def test_semiregular_isomorphism_matches_reference():
+    rnd = random.Random(11)
+    found = absent = 0
+    for _ in range(120):
+        m, n = rnd.randint(1, 3), rnd.randint(2, 9)
+        rho = [v - v % n + (v + 1) % n for v in range(m * n)]
+        g = graph_from_symbol(random_symbol(rnd, m, n))
+        if rnd.random() < 0.5:
+            # a relabelled copy, its automorphism a unit power of rho
+            sigma = rnd.sample(range(g.n), g.n)
+            h = Graph(g.n, [(sigma[u], sigma[v]) for u, v in g.edges()])
+            unit = rnd.choice([u for u in range(1, n) if gcd(u, n) == 1])
+            rho_h = [None] * g.n
+            for v in range(g.n):
+                w = v
+                for _ in range(unit):
+                    w = rho[w]
+                rho_h[sigma[v]] = sigma[w]
+        else:
+            h = graph_from_symbol(random_symbol(rnd, m, n))
+            rho_h = rho
+        phi = semiregular_isomorphism(g, rho, h, rho_h)
+        ref = brute_semiregular_isomorphism(g, rho, h, rho_h)
+        assert (phi is None) == (ref is None)
+        if rho_h is not rho:
+            assert phi is not None
+        if phi is None:
+            absent += 1
+        else:
+            found += 1
+            assert_equivariant_isomorphism(g, rho, h, rho_h, phi)
+            assert_equivariant_isomorphism(g, rho, h, rho_h, ref)
+    assert found and absent
+
+
+def test_semiregular_isomorphism_needs_a_unit_multiplier():
+    # C8({1,3,5,7}) is bipartite and C8({1,2,6,7}) is not, yet t -> 2t
+    # sends every edge of the first onto an edge of the second: only unit
+    # multipliers give bijections
+    rho = [(v + 1) % 8 for v in range(8)]
+    g, h = circulant(8, (1, 3)), circulant(8, (1, 2))
+    assert semiregular_isomorphism(g, rho, h, rho) is None
+    assert brute_semiregular_isomorphism(g, rho, h, rho) is None
+
+
+def test_semiregular_isomorphism_errors_and_shapes():
+    c6 = circulant(6, (1,))
+    with pytest.raises(ValueError):
+        semiregular_isomorphism(c6, list(range(6)), c6, list(range(6)))
+    by2 = [(v + 2) % 6 for v in range(6)]
+    by3 = [(v + 3) % 6 for v in range(6)]
+    assert semiregular_isomorphism(c6, by2, c6, by3) is None
+    phi = semiregular_isomorphism(PETERSEN, PET_RHO, PETERSEN, PET_RHO)
+    assert_equivariant_isomorphism(PETERSEN, PET_RHO, PETERSEN, PET_RHO, phi)
