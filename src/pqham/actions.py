@@ -4,7 +4,6 @@ character model of PSL(2,p) acting on cosets of a maximal dihedral
 subgroup, and the quadric-point model of PSL(2,q^2) acting on cosets
 of PGL(2,q)."""
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .field import (
@@ -171,9 +170,18 @@ def _invert(perm):
 def action_space(n, base, gens, stab_gens, labels=None):
     """Build a CosetSpace: suborbits are the orbits of the stabilizer,
     pairing is found by transporting the base point backwards along a
-    word taking base to the suborbit."""
+    word taking base to the suborbit. Every generator must be a
+    permutation of range(n), and the stabilizer generators must fix
+    base."""
     gens = tuple(tuple(g) for g in gens)
     stab_gens = tuple(tuple(g) for g in stab_gens)
+    points = set(range(n))
+    for g in gens + stab_gens:
+        if len(g) != n or set(g) != points:
+            raise ValueError("a generator is not a permutation of "
+                             "range(%d)" % n)
+    if any(g[base] != base for g in stab_gens):
+        raise ValueError("a stabilizer generator moves the base point")
     # breadth-first words from the base point
     prev = {base: None}
     queue = [base]
@@ -220,7 +228,7 @@ def orbital_graph(space, union):
     idx = sorted({s.index if isinstance(s, Suborbit) else s for s in union})
     subs = [space.suborbits[i] for i in idx]
     for s in subs:
-        if s.points == (space.base,):
+        if space.base in s.points:
             raise ValueError("trivial suborbit gives loops, not edges")
         if s.paired not in idx:
             raise ValueError(
@@ -243,25 +251,26 @@ def orbital_graph(space, union):
                 stack.append(w)
     if None in rows:
         raise ValueError("generators do not act transitively")
+    for row in rows:
+        row.sort()
+    g = Graph._from_rows(rows)
     # Every generator maps each row onto the row of its image, so the
     # directed pairs form a group-invariant set that holds the base pairs
     # and lies in their orbit: they are exactly that orbit. Tree moves hold
     # by construction. This fails when a "suborbit" is not an orbit of the
-    # full base stabilizer.
-    for row in rows:
-        row.sort()
-    for gi, g in enumerate(gens):
+    # full base stabilizer. Generators are permutations and all rows have
+    # one length, so an image inside the target row is all of it.
+    sets = g._adjsets
+    for gi, perm in enumerate(gens):
         for u, row in enumerate(rows):
-            w = g[u]
-            if tree[w] != (gi, u) and sorted([g[x] for x in row]) != rows[w]:
+            w = perm[u]
+            if tree[w] != (gi, u) and \
+                    not sets[w].issuperset([perm[x] for x in row]):
                 raise ValueError("the suborbit union is not invariant "
                                  "under the action")
-    # An invariant set of pairs is symmetric when its base row is, so each
-    # edge can be read from the row of its lower end.
-    if not all(space.base in rows[x] for x in rows[space.base]):
+    # An invariant set of pairs is symmetric when its base row is.
+    if not all(space.base in sets[x] for x in rows[space.base]):
         raise ValueError("the suborbit union is not closed under pairing")
-    g = Graph(n, ((u, v) for u, row in enumerate(rows)
-                  for v in row[bisect_right(row, u):]))
     want = sum(s.size for s in subs)
     assert g.is_regular() and g.valency() == want
     return g
@@ -809,15 +818,21 @@ def omega_graph(model, lam):
     points = model.points
     inv2 = pow(2, -1, q)
     hits = (lam, q - lam)
-    edges = []
+    # row i collects its earlier neighbours before its later ones, each in
+    # increasing order, so every row comes out sorted, symmetric and
+    # loop-free
+    rows = [[] for _ in points]
     for i, (x0, x1, x2, x3) in enumerate(points):
         # half of _form(points[i], y) as coefficients of y
         c0, c1 = x1 * inv2 % q, x0 * inv2 % q
         c2, c3 = -x2 % q, theta * x3 % q
-        edges += [(i, j) for j, (y0, y1, y2, y3)
-                  in enumerate(points[i + 1:], i + 1)
-                  if (c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3) % q in hits]
-    return Graph(len(points), edges)
+        later = [j for j, (y0, y1, y2, y3)
+                 in enumerate(points[i + 1:], i + 1)
+                 if (c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3) % q in hits]
+        rows[i] += later
+        for j in later:
+            rows[j].append(i)
+    return Graph._from_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -226,9 +226,10 @@ def _cmd_hamilton(args, parser):
     if _bad_budget(args):
         return 2
     desc = _descriptor(args, parser)
-    _instance(desc)  # parameters build_instance rejects exit 2 here
     try:
         cert = prove(desc, budget=args.budget)
+    except ValueError as e:  # parameters build_instance rejects
+        _reject("%s: %s" % (desc, e))
     except NotHamiltonianException as e:
         print("NotHamiltonian: %s" % e, file=sys.stderr)
         return 1

@@ -57,9 +57,11 @@ def classify(a, p):
     return SQUARE if pow(a, (p - 1) // 2, p) == 1 else NONSQUARE
 
 
+@lru_cache(maxsize=None)
 def squares(p):
     """The set S* of nonzero squares mod p."""
-    return frozenset(x * x % p for x in range(1, p))
+    # x and p - x have one square, so half the residues reach them all
+    return frozenset(x * x % p for x in range(1, p // 2 + 1))
 
 
 def nonsquares(p):

@@ -10,7 +10,12 @@ class BudgetExceeded(Exception):
 
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1 with sorted
-    adjacency lists. Immutable after construction."""
+    adjacency lists. Immutable after construction.
+
+    Graph(n, edges) is the public constructor: it rejects loops and
+    out-of-range ends, and merges repeated edges. Graph._from_rows(rows)
+    takes adjacency rows as given and checks nothing; it is for builders
+    that have already proven their rows sorted, symmetric and loop-free."""
 
     def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
@@ -24,6 +29,16 @@ class Graph:
         self.n = n
         self.adjacency = [tuple(sorted(s)) for s in adj]
         self._adjsets = [frozenset(s) for s in adj]
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """The graph whose row v is rows[v]. Each row must be strictly
+        increasing, hold no v, and hold u exactly when rows[u] holds v."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g.adjacency = [tuple(r) for r in rows]
+        g._adjsets = [frozenset(r) for r in rows]
+        return g
 
     def neighbors(self, v):
         return self.adjacency[v]

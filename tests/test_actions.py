@@ -184,17 +184,59 @@ def test_orbital_graph_equals_edge_orbit_closure():
 
 def test_orbital_graph_rejects_a_union_the_stabilizer_moves():
     # A space that knows only one of the stabilizer's two generators: its
-    # "suborbit" is an orbit of that generator alone, which the other moves.
+    # "suborbits" are orbits of that generator alone, which the other moves.
+    # Some of them are closed under pairing, so only the invariance check
+    # can reject them.
     sp = a4_coset_space()
     true = next(s for s in sp.suborbits if s.size == 12 and s.self_paired)
-    part = next(o for o in permutation_orbits(sp.stab_gens[0])
-                if true.points[0] in o)
-    assert set(part) < set(true.points)
-    subs = list(sp.suborbits)
-    subs[true.index] = Suborbit(true.index, tuple(sorted(part)), true.index)
-    bad = replace(sp, stab_gens=sp.stab_gens[:1], suborbits=tuple(subs))
+    parts = [o for o in permutation_orbits(sp.stab_gens[0])
+             if set(o) < set(true.points)]
+    assert len(parts) > 1
+    for part in parts:
+        subs = list(sp.suborbits)
+        subs[true.index] = Suborbit(true.index, tuple(sorted(part)),
+                                    true.index)
+        bad = replace(sp, stab_gens=sp.stab_gens[:1], suborbits=tuple(subs))
+        with pytest.raises(ValueError, match="not invariant"):
+            orbital_graph(bad, (true.index,))
+
+
+def assert_rows_proven(g):
+    """g, built from its rows, is the graph the checked public
+    constructor gives on its edges, with strictly increasing rows."""
+    h = Graph(g.n, g.edges())
+    assert g == h and hash(g) == hash(h)
+    for v in range(g.n):
+        row = g.adjacency[v]
+        assert isinstance(row, tuple)
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert g._adjsets[v] == frozenset(row)
+
+
+def test_row_built_graphs_equal_edge_built():
+    for sp in (alternating_triple_space(), dihedral_model(13).space,
+               a4_coset_space()):
+        for s in sp.suborbits:
+            if s.points != (sp.base,) and s.index <= s.paired:
+                assert_rows_proven(orbital_graph(sp, {s.index, s.paired}))
+    m = omega_model(5)
+    for lam in m.suborbits:
+        assert_rows_proven(omega_graph(m, lam))
+
+
+def test_action_space_rejects_non_permutations():
+    sp = alternating_triple_space()
+    squashed = (sp.gens[0][1],) + sp.gens[0][1:]  # not injective
+    for bad in (squashed, sp.gens[0][:-1], sp.gens[0] + (sp.n,)):
+        with pytest.raises(ValueError):
+            action_space(sp.n, sp.base, (bad, sp.gens[1]), sp.stab_gens)
+        with pytest.raises(ValueError):
+            action_space(sp.n, sp.base, sp.gens, sp.stab_gens + (bad,))
+    mover = next(g for g in sp.gens if g[sp.base] != sp.base)
     with pytest.raises(ValueError):
-        orbital_graph(bad, (true.index,))
+        action_space(sp.n, sp.base, sp.gens, sp.stab_gens + (mover,))
+    assert action_space(sp.n, sp.base, sp.gens,
+                        sp.stab_gens).suborbits == sp.suborbits
 
 
 def test_dihedral_model_smallest():

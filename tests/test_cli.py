@@ -1,7 +1,8 @@
 import pytest
 
+from pqham import cli, engine
 from pqham.cli import build_parser, main
-from pqham.engine import parse_certificate, verify
+from pqham.engine import build_instance, parse_certificate, verify
 from pqham.graphs import gp, parse_edge_list
 
 
@@ -177,6 +178,21 @@ def test_bad_parameters_exit_2_one_line(capsys):
         assert e.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
+
+
+def test_hamilton_builds_the_instance_once(capsys, monkeypatch):
+    built = []
+
+    def counting(desc):
+        built.append(desc)
+        return build_instance(desc)
+
+    monkeypatch.setattr(engine, "build_instance", counting)
+    monkeypatch.setattr(cli, "build_instance", counting)
+    code, out = run(capsys, "hamilton", "--family", "gp", "--n", "7",
+                    "--k", "2", "--format", "text")
+    assert code == 0 and out.startswith("hamiltonian ")
+    assert len(built) == 1
 
 
 def test_budget_env_read_only_by_search_commands(capsys, monkeypatch):

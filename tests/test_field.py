@@ -73,6 +73,11 @@ def test_square_class_sizes(p):
     assert len(nonsquares(p)) == (p - 1) // 2
 
 
+def test_squares_equal_the_full_range_set():
+    for p in [2] + PRIMES_SMALL:
+        assert squares(p) == frozenset(x * x % p for x in range(1, p)), p
+
+
 def test_sqrt_mod_examples():
     assert sqrt_mod(12, 13) == (5, 8)
     assert sqrt_mod(0, 7) == (0,)
