@@ -15,7 +15,7 @@ from .field import (
     sqrt_mod,
     squares,
 )
-from .graphs import Graph
+from .graphs import orbit_graph
 from .quotients import permutation_orbits, quotient
 
 
@@ -224,53 +224,17 @@ def action_space(n, base, gens, stab_gens, labels=None):
 def orbital_graph(space, union):
     """Graph whose edge set is the orbit of the edges joining the base
     point to the given suborbits; union must be closed under pairing and
-    must not contain the trivial suborbit."""
+    must not contain the trivial suborbit. orbit_graph also rejects a
+    "suborbit" that is not an orbit of the full base stabilizer."""
     idx = sorted({s.index if isinstance(s, Suborbit) else s for s in union})
     subs = [space.suborbits[i] for i in idx]
     for s in subs:
-        if space.base in s.points:
-            raise ValueError("trivial suborbit gives loops, not edges")
         if s.paired not in idx:
             raise ValueError(
                 "suborbit %d is not self-paired; include its partner %d"
                 % (s.index, s.paired))
-    # Transport the base neighbourhood along a spanning tree of generator
-    # moves: N(g[u]) = g(N(u)).
-    n, gens = space.n, space.gens
-    rows = [None] * n
-    rows[space.base] = sorted(v for s in subs for v in s.points)
-    tree = [None] * n
-    stack = [space.base]
-    while stack:
-        u = stack.pop()
-        for gi, g in enumerate(gens):
-            w = g[u]
-            if rows[w] is None:
-                rows[w] = [g[x] for x in rows[u]]
-                tree[w] = (gi, u)
-                stack.append(w)
-    if None in rows:
-        raise ValueError("generators do not act transitively")
-    for row in rows:
-        row.sort()
-    g = Graph._from_rows(rows)
-    # Every generator maps each row onto the row of its image, so the
-    # directed pairs form a group-invariant set that holds the base pairs
-    # and lies in their orbit: they are exactly that orbit. Tree moves hold
-    # by construction. This fails when a "suborbit" is not an orbit of the
-    # full base stabilizer. Generators are permutations and all rows have
-    # one length, so an image inside the target row is all of it.
-    sets = g._adjsets
-    for gi, perm in enumerate(gens):
-        for u, row in enumerate(rows):
-            w = perm[u]
-            if tree[w] != (gi, u) and \
-                    not sets[w].issuperset([perm[x] for x in row]):
-                raise ValueError("the suborbit union is not invariant "
-                                 "under the action")
-    # An invariant set of pairs is symmetric when its base row is.
-    if not all(space.base in sets[x] for x in rows[space.base]):
-        raise ValueError("the suborbit union is not closed under pairing")
+    g = orbit_graph(space.gens, space.base,
+                    [v for s in subs for v in s.points])
     want = sum(s.size for s in subs)
     assert g.is_regular() and g.valency() == want
     return g
@@ -398,14 +362,12 @@ def _char_rep(label, p):
 @dataclass(frozen=True)
 class DihedralModel:
     """The dihedral-coset action in character coordinates, with the
-    analytic suborbit family, the order-p shift rho, and the
-    square-generator scaling sigma."""
+    analytic suborbit family and the order-p shift rho."""
 
     p: int
     space: CosetSpace
     names: dict  # analytic name -> suborbit index
     rho: tuple
-    sigma: tuple
     orbits: dict  # x (canonical) or INF -> tuple of points
 
 
@@ -452,8 +414,6 @@ def dihedral_model(p):
     s = psl2_canon((0, -1, 1, 0), p)
     diag = psl2_canon((g0, 0, 0, pow(g0, -1, p)), p)
     rho = perm_of(t)
-    z = g0 * g0 % p
-    sigma = perm_of(psl2_canon((z, 0, 0, pow(z, -1, p)), p))
     space = action_space(len(labels), 0, (rho, perm_of(s)),
                          (perm_of(diag), perm_of(s)), labels=tuple(labels))
     names = {}
@@ -473,7 +433,7 @@ def dihedral_model(p):
             x = min(e for lab in orbit if lab != 0
                     for e in [labels[lab][1]] if labels[lab][0] == 0)
             orbits[x] = orbit
-    return DihedralModel(p, space, names, rho, sigma, orbits)
+    return DihedralModel(p, space, names, rho, orbits)
 
 
 def dihedral_row_unions(model):
@@ -691,22 +651,23 @@ class QuadExt:
 @dataclass(frozen=True)
 class OmegaModel:
     """The action on nonsingular projective points of the quadric, with
-    the order-q shift rho, its normalizer generators, the suborbit
-    family indexed by the half form value, and the rho-block split into
-    inner (x2 = 0) and outer blocks."""
+    generators of the whole group, the order-q shift rho and its
+    normalizer generators, the suborbit family indexed by the half form
+    value, and the rho-block split into inner (x2 = 0) and outer
+    blocks."""
 
     q: int
     p: int
     theta: int
     points: tuple
     base: int
-    lam_of: tuple
     suborbits: dict  # lam -> tuple of points (base excluded)
     blocks: tuple
     inner_blocks: tuple
     outer_blocks: tuple
     rho: tuple
     norm_gens: tuple
+    gens: tuple  # rho, tau and flip generate SL(2, q^2)
 
 
 def _form(x, y, q, theta):
@@ -782,14 +743,11 @@ def omega_model(q):
     base = index[(1, 1, 0, 0)]
     vbase = points[base]
     inv2 = pow(2, -1, q)
-    lam_of = []
-    for x in points:
-        lam = _form(x, vbase, q, theta) * inv2 % q
-        lam_of.append(min(lam, q - lam))
     suborbits = {}
-    for i, lam in enumerate(lam_of):
+    for i, x in enumerate(points):
         if i != base:
-            suborbits.setdefault(lam, []).append(i)
+            lam = _form(x, vbase, q, theta) * inv2 % q
+            suborbits.setdefault(min(lam, q - lam), []).append(i)
     suborbits = {lam: tuple(v) for lam, v in suborbits.items()}
 
     def perm_of(g):
@@ -801,38 +759,23 @@ def omega_model(q):
     rho = perm_of((one, one, zero, one))
     delta = perm_of((alpha, zero, zero, QuadExt(q, theta).inv(alpha)))
     tau = perm_of((one, alpha, zero, one))
+    # the upper unitriangular matrices rho and tau generate, with this
+    # flip, all of SL(2, q^2)
+    flip = perm_of((zero, (q - 1, 0), one, zero))
     blocks = tuple(map(tuple, permutation_orbits(rho)))
     inner = tuple(a for a, blk in enumerate(blocks)
                   if all(points[v][1] == 0 for v in blk))
     outer = tuple(a for a in range(len(blocks)) if a not in inner)
     assert len(inner) == (q + 1) // 2 and len(outer) == q * (q - 1) // 2
-    return OmegaModel(q, p, theta, points, base, tuple(lam_of), suborbits,
-                      blocks, inner, outer, rho, (delta, tau, rho))
+    return OmegaModel(q, p, theta, points, base, suborbits, blocks, inner,
+                      outer, rho, (delta, tau, rho), (rho, tau, flip))
 
 
 def omega_graph(model, lam):
     """Orbital graph for the suborbit with half form value +-lam."""
-    q, theta = model.q, model.theta
     if lam not in model.suborbits:
         raise ValueError("no suborbit with value %r" % (lam,))
-    points = model.points
-    inv2 = pow(2, -1, q)
-    hits = (lam, q - lam)
-    # row i collects its earlier neighbours before its later ones, each in
-    # increasing order, so every row comes out sorted, symmetric and
-    # loop-free
-    rows = [[] for _ in points]
-    for i, (x0, x1, x2, x3) in enumerate(points):
-        # half of _form(points[i], y) as coefficients of y
-        c0, c1 = x1 * inv2 % q, x0 * inv2 % q
-        c2, c3 = -x2 % q, theta * x3 % q
-        later = [j for j, (y0, y1, y2, y3)
-                 in enumerate(points[i + 1:], i + 1)
-                 if (c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3) % q in hits]
-        rows[i] += later
-        for j in later:
-            rows[j].append(i)
-    return Graph._from_rows(rows)
+    return orbit_graph(model.gens, model.base, model.suborbits[lam])
 
 
 @dataclass(frozen=True)
@@ -846,11 +789,10 @@ class OmegaBlockStats:
 
 def omega_block_valencies(model, lam):
     g = omega_graph(model, lam)
+    # quot.orbits are model.blocks: both are the cycles of rho in
+    # permutation_orbits order
     quot = quotient(g, list(model.rho))
-    order = {v: a for a, blk in enumerate(quot.orbits) for v in blk}
-    remap = [order[blk[0]] for blk in model.blocks]
-    inner = [remap[a] for a in model.inner_blocks]
-    outer = [remap[a] for a in model.outer_blocks]
+    inner, outer = model.inner_blocks, model.outer_blocks
     q = model.q
     eps = 2 if q % 8 in (1, 3) else 0
     inner_val = {a: quot.d(a, a) for a in outer}

@@ -5,7 +5,7 @@ order p*q: metacirculants and the projective-line graphs over GF(2^(2^s))
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import Graph
+from .graphs import Graph, orbit_graph
 
 # fixed irreducible polynomials for GF(2^(2^s)), s = 1, 2, 3
 _IRREDUCIBLE = {4: 0b111, 16: 0b10011, 256: 0b100011011}
@@ -109,24 +109,15 @@ def _full_tails(spec):
 def metacirculant(spec):
     """Graph on m*n vertices v_i^r (vertex i*n+r), edge rule
     v_i^r ~ v_j^s iff s-r in alpha^i T_{j-i}; returns (graph, rho, sigma)
-    with rho the (m,n)-semiregular rotation and sigma the orbit shift."""
+    with rho the (m,n)-semiregular rotation and sigma the orbit shift.
+    Both are automorphisms and act transitively, so the graph is the one
+    they carry from the neighbourhood {v_h^t : t in T_h} of v_0^0."""
     m, n, a = spec.m, spec.n, spec.alpha
     tails = _full_tails(spec)
-    edges = set()
-    for i in range(m):
-        ai = pow(a, i, n)
-        for h in range(m):
-            j = (i + h) % m
-            for t in tails[h]:
-                d = ai * t % n
-                for r in range(n):
-                    u = i * n + r
-                    v = j * n + (r + d) % n
-                    if u != v:
-                        edges.add((min(u, v), max(u, v)))
-    g = Graph(m * n, sorted(edges))
     rho = [i * n + (r + 1) % n for i in range(m) for r in range(n)]
     sigma = [((i + 1) % m) * n + (a * r) % n for i in range(m) for r in range(n)]
+    g = orbit_graph((rho, sigma), 0,
+                    [h * n + t for h in range(m) for t in tails[h]])
     return g, rho, sigma
 
 

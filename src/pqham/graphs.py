@@ -14,8 +14,9 @@ class Graph:
 
     Graph(n, edges) is the public constructor: it rejects loops and
     out-of-range ends, and merges repeated edges. Graph._from_rows(rows)
-    takes adjacency rows as given and checks nothing; it is for builders
-    that have already proven their rows sorted, symmetric and loop-free."""
+    takes adjacency rows as given and checks nothing; only orbit_graph
+    calls it, once it has proven its rows sorted, symmetric and
+    loop-free."""
 
     def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
@@ -86,6 +87,59 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count)
+
+
+def orbit_graph(gens, base, row):
+    """The graph whose neighbourhood of base is row and which the group
+    generated by the permutations gens preserves: row is carried along a
+    spanning tree of generator moves, N(g[u]) = g(N(u)), and the result
+    is proven. ValueError when a generator is not a permutation of
+    range(n), row holds base or a point outside range(n), the generators
+    do not act transitively, or one of the two proofs fails."""
+    n = len(gens[0])
+    points = set(range(n))
+    for perm in gens:
+        if len(perm) != n or set(perm) != points:
+            raise ValueError("a generator is not a permutation of "
+                             "range(%d)" % n)
+    row = sorted(set(row))
+    if base not in points or base in row or not points.issuperset(row):
+        raise ValueError("need a base point and a row of other points, "
+                         "all in range(%d)" % n)
+    rows = [None] * n
+    rows[base] = row
+    tree = [None] * n
+    stack = [base]
+    while stack:
+        u = stack.pop()
+        for gi, perm in enumerate(gens):
+            w = perm[u]
+            if rows[w] is None:
+                rows[w] = [perm[x] for x in rows[u]]
+                tree[w] = (gi, u)
+                stack.append(w)
+    if None in rows:
+        raise ValueError("generators do not act transitively")
+    for r in rows:
+        r.sort()
+    g = Graph._from_rows(rows)
+    # Every generator maps each row onto the row of its image, so the
+    # directed pairs form a group-invariant set that holds the base pairs
+    # and lies in their orbit: they are exactly that orbit. Tree moves hold
+    # by construction. Generators are permutations and all rows have one
+    # length, so an image inside the target row is all of it.
+    sets = g._adjsets
+    for gi, perm in enumerate(gens):
+        for u, r in enumerate(rows):
+            w = perm[u]
+            if tree[w] != (gi, u) and \
+                    not sets[w].issuperset([perm[x] for x in r]):
+                raise ValueError("the row is not invariant under the "
+                                 "generators")
+    # An invariant set of pairs is symmetric when its base row is.
+    if not all(base in sets[x] for x in row):
+        raise ValueError("the row is not closed under pairing")
+    return g
 
 
 def verify_hamilton_cycle(g, cycle):

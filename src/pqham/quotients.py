@@ -173,20 +173,15 @@ def lift_closed_walk(q, walk):
         raise ValueError("a 2-cycle in the quotient needs a double edge")
     choice = [min(s) for s in volts]
     if k == 2:
-        # the two steps traverse distinct parallel edges
-        a = min(volts[0])
-        back = [t for t in volts[1] if t != (-a) % n]
-        if not back:
-            choice = None
-        else:
-            choice[1] = min(back)
-    if choice is not None and sum(choice) % n == 0:
+        # The two steps traverse distinct parallel edges. volts[1] is
+        # -volts[0], so it has a voltage other than -choice[0], and the
+        # two never sum to 0: only k >= 3 reaches the search below.
+        choice[1] = min(t for t in volts[1] if t != (-choice[0]) % n)
+    if sum(choice) % n == 0:
         choice = None
         for i, s in enumerate(volts):
             base = [min(v) for v in volts]
             alts = [t for t in s if t != base[i]]
-            if k == 2 and i == 1:
-                alts = [t for t in alts if t != (-base[0]) % n]
             for t in alts:
                 base[i] = t
                 if sum(base) % n != 0:

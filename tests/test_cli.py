@@ -82,6 +82,14 @@ def test_hamilton_petersen_message(capsys):
     assert code == 1 and "NotHamiltonian" in captured.err
 
 
+def test_hamilton_budget_exhaustion_message(capsys):
+    code = main(["hamilton", "--family", "triple", "--size", "4",
+                 "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("ProofFailure: ")
+
+
 def test_survey_csv(capsys):
     code, out = run(capsys, "survey", "--max-order", "15", "--format", "csv")
     assert code == 0

@@ -107,6 +107,21 @@ def test_prove_strategies():
     assert [r.status for r in rows].count("exception") == 1
 
 
+def test_prove_outcomes_off_the_survey():
+    # a circulant on a prime number of vertices lifts one voltage
+    c = prove(Descriptor("metacirculant",
+                         (MetacirculantSpec(1, 7, 1, (frozenset({1, 6}),)),)))
+    assert c.strategy == "quotient-lift" and "voltage=1" in c.trace
+    # two disjoint 5-cycles
+    with pytest.raises(ProofFailure) as e:
+        prove(Descriptor("metacirculant", (MetacirculantSpec(
+            2, 5, 1, (frozenset({1, 4}), frozenset())),)))
+    assert (e.value.order, e.value.valency) == (10, 2)
+    # GP(n, 2) has no Hamilton cycle for n = 5 (mod 6)
+    with pytest.raises(NotHamiltonianException, match="exhaustive"):
+        prove(Descriptor("gp", (11, 2)))
+
+
 def test_fingerprint_distinguishes_graphs():
     assert graph_fingerprint(gp(7, 2)) != graph_fingerprint(gp(7, 3))
     assert graph_fingerprint(gp(7, 2)) == graph_fingerprint(gp(7, 2))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,10 @@ from pqham.quotients import (
     permutation_orbits,
     quotient,
     verify_semiregular,
+)
+from reference_families import (
+    edge_rule_metacirculant,
+    random_metacirculant_spec,
 )
 
 
@@ -94,6 +99,13 @@ def test_metacirculant_transitive_family():
         assert is_automorphism(g, sigma)
         assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
             [list(range(g.n))]
+
+
+def test_metacirculant_equals_edge_rule():
+    rnd = random.Random(14)
+    for _ in range(300):
+        spec = random_metacirculant_spec(rnd)
+        assert metacirculant(spec)[0] == edge_rule_metacirculant(spec), spec
 
 
 FERMAT_53 = FermatSpec(5, 3, frozenset(), frozenset({1}))

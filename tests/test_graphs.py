@@ -21,6 +21,7 @@ from pqham.graphs import (
     hamilton_path,
     is_isomorphic,
     jackson_certifies,
+    orbit_graph,
     parse_edge_list,
     verify_hamilton_cycle,
     verify_hamilton_path,
@@ -52,6 +53,36 @@ def test_graph_basics():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
+
+
+ROT7 = [(x + 1) % 7 for x in range(7)]
+DOUBLE7 = [2 * x % 7 for x in range(7)]
+
+
+def test_orbit_graph_carries_the_base_row():
+    assert orbit_graph([ROT7], 0, {1, 6}) == cycle_graph(7)
+    # the row may come in any order and any container
+    g = orbit_graph([ROT7, DOUBLE7], 0, (1, 2, 4, 3, 5, 6))
+    assert g == complete_graph(7)
+    assert orbit_graph([ROT7, DOUBLE7], 0, [1, 6, 2, 5, 4, 3]) == g
+
+
+def test_orbit_graph_rejects_what_it_cannot_prove():
+    with pytest.raises(ValueError, match="not a permutation"):
+        orbit_graph([ROT7, [0, 0, 1, 2, 3, 4, 5]], 0, {1, 6})
+    with pytest.raises(ValueError, match="not a permutation"):
+        orbit_graph([ROT7, ROT7[:-1]], 0, {1, 6})
+    with pytest.raises(ValueError, match="transitively"):
+        orbit_graph([DOUBLE7], 1, {3, 4})
+    for row in ({0, 1, 6}, {1, 7}, {-1, 1}):
+        with pytest.raises(ValueError, match="base point"):
+            orbit_graph([ROT7], 0, row)
+    # {1, 6} is closed under pairing, but doubling moves it to {2, 5}
+    with pytest.raises(ValueError, match="not invariant"):
+        orbit_graph([ROT7, DOUBLE7], 0, {1, 6})
+    # the rotation carries {1} to a directed 7-cycle
+    with pytest.raises(ValueError, match="pairing"):
+        orbit_graph([ROT7], 0, {1})
 
 
 def test_hamilton_cycle_examples():

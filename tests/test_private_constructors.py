@@ -1,13 +1,14 @@
-"""Graph._from_rows checks nothing, so only builders that prove their
-rows sorted, symmetric and loop-free may use it. Today those are the
-orbital and quadric graph builders in actions."""
+"""Graph._from_rows checks nothing, so only a builder that proves its
+rows sorted, symmetric and loop-free may use it. That is
+graphs.orbit_graph, which the orbital, quadric and metacirculant graph
+builders call."""
 
 import ast
 from pathlib import Path
 
 import pqham
 
-ALLOWED = {"actions.py"}
+ALLOWED = {"graphs.py"}
 
 
 def uses_of(tree, name):
@@ -26,7 +27,7 @@ def test_uses_of_finds_calls_and_references():
     assert uses_of(tree, "_from_rows") == [1, 2, 3]
 
 
-def test_from_rows_used_only_by_actions():
+def test_from_rows_used_only_by_graphs():
     src = Path(pqham.__file__).parent
     found = {path.name for path in src.glob("*.py")
              if uses_of(ast.parse(path.read_text()), "_from_rows")}

@@ -199,6 +199,25 @@ def test_lift_dichotomy_double_edge_always_full():
                 assert out.full
 
 
+def test_random_double_edge_two_cycles_lift_fully():
+    # S[b][a] = -S[a][b], so a double edge a-b always leaves a return
+    # voltage that does not cancel the outbound one
+    rnd = random.Random(3)
+    lifted = 0
+    for _ in range(100):
+        m, n = rnd.randint(2, 4), rnd.choice([2, 3, 5, 7, 11])
+        g = graph_from_symbol(random_symbol(rnd, m, n))
+        q = quotient(g, [v - v % n + (v + 1) % n for v in range(g.n)])
+        for a, b in combinations(range(m), 2):
+            if q.d(a, b) >= 2:
+                out = lift_closed_walk(q, [a, b])
+                assert out.full and len(set(out.cycle)) == 2 * n
+                assert all(g.has_edge(out.cycle[i - 1], out.cycle[i])
+                           for i in range(2 * n))
+                lifted += 1
+    assert lifted > 50
+
+
 def test_lift_errors():
     q = quotient(O4, O4_RHO)
     with pytest.raises(ValueError):
