@@ -616,38 +616,6 @@ def split_edge_table(p):
 # Quadric-point model of PSL(2,q^2) on the cosets of PGL(2,q):
 # projective points <x> with Q(x) = x1 x2 - x3^2 + theta x4^2 a square.
 
-def _pick_theta(q):
-    """Smallest nonsquare that generates F_q*."""
-    sq = squares(q)
-    prim = primitive_roots(q)
-    return min(x for x in prim if x not in sq)
-
-
-class QuadExt:
-    """F_{q^2} = F_q(alpha) with alpha^2 = theta; elements are (c, d)
-    pairs standing for c + d*alpha."""
-
-    def __init__(self, q, theta):
-        self.q = q
-        self.theta = theta
-
-    def mul(self, a, b):
-        q, th = self.q, self.theta
-        return ((a[0] * b[0] + th * a[1] * b[1]) % q,
-                (a[0] * b[1] + a[1] * b[0]) % q)
-
-    def add(self, a, b):
-        return ((a[0] + b[0]) % self.q, (a[1] + b[1]) % self.q)
-
-    def conj(self, a):
-        return (a[0], (-a[1]) % self.q)
-
-    def inv(self, a):
-        n = (a[0] * a[0] - self.theta * a[1] * a[1]) % self.q
-        ni = pow(n, -1, self.q)
-        return (a[0] * ni % self.q, (-a[1]) * ni % self.q)
-
-
 @dataclass(frozen=True)
 class OmegaModel:
     """The action on nonsingular projective points of the quadric, with
@@ -680,44 +648,33 @@ def _canon_point(x, q):
     return min(x, neg)
 
 
-def tensor_matrix(g, q, theta):
-    """4x4 matrix over F_q for the action of g in SL(2, q^2) on the
-    fixed symmetric-tensor basis; entries of g are QuadExt pairs."""
-    f = QuadExt(q, theta)
-    (a, b), (c, d) = (g[0], g[1]), (g[2], g[3])
-    img1 = (a, c)  # w1 g = a w1 + c w2
-    img2 = (b, d)
-    cimg1 = tuple(f.conj(t) for t in img1)
-    cimg2 = tuple(f.conj(t) for t in img2)
-    inv2 = pow(2, -1, q)
-    alpha_inv = (0, pow(theta, -1, q))
+def hermitian_matrix(g, q, theta):
+    """4x4 matrix over F_q for the action of g = (a, b, c, d), the matrix
+    [[a, b], [c, d]] in SL(2, q^2), on the quadric. Entries are pairs
+    (c, d) standing for c + d*alpha in F_q(alpha), alpha^2 = theta. The
+    point x is the Hermitian matrix H(x) = [[x1, x3 + x4 alpha],
+    [x3 - x4 alpha, x2]], det H(x) = Q(x), and g acts by H -> g H g*,
+    g* the conjugate transpose: row i is the point of g H(e_i) g*."""
 
-    def image(coeffs):
-        # coeffs: dict (j,k) -> QuadExt coefficient of w_j (x) w_k
-        out = {}
-        for (j, k), cf in coeffs.items():
-            left = img1 if j == 0 else img2
-            right = cimg1 if k == 0 else cimg2
-            for m in range(2):
-                for n in range(2):
-                    t = f.mul(cf, f.mul(left[m], right[n]))
-                    out[(m, n)] = f.add(out.get((m, n), (0, 0)), t)
-        c11, c22 = out.get((0, 0), (0, 0)), out.get((1, 1), (0, 0))
-        c12, c21 = out.get((0, 1), (0, 0)), out.get((1, 0), (0, 0))
-        x3 = tuple(v * inv2 % q for v in f.add(c12, tuple((-t) % q
-                                                          for t in c21)))
-        s3 = f.add(c12, c21)
-        row = (c11, c22, tuple(v * inv2 % q for v in s3),
-               f.mul(x3, alpha_inv))
-        assert all(v[1] == 0 for v in row), "image left the base field"
-        return tuple(v[0] for v in row)
+    def mul(u, v):
+        return ((u[0] * v[0] + theta * u[1] * v[1]) % q,
+                (u[0] * v[1] + u[1] * v[0]) % q)
 
-    alpha = (0, 1)
-    rows = [image({(0, 0): (1, 0)}),
-            image({(1, 1): (1, 0)}),
-            image({(0, 1): (1, 0), (1, 0): (1, 0)}),
-            image({(0, 1): alpha, (1, 0): tuple((-t) % q for t in alpha)})]
-    return tuple(rows)
+    def times(m, n):
+        def entry(i, j):
+            (c1, d1), (c2, d2) = mul(m[i][0], n[0][j]), mul(m[i][1], n[1][j])
+            return (c1 + c2) % q, (d1 + d2) % q
+        return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
+
+    gm = (g[:2], g[2:])
+    gstar = tuple(tuple((c, -d % q) for c, d in col) for col in zip(*gm))
+    out = []
+    for x1, x2, x3, x4 in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                           (0, 0, 0, 1)):
+        h = (((x1, 0), (x3, x4)), ((x3, -x4 % q), (x2, 0)))
+        y = times(times(gm, h), gstar)
+        out.append((y[0][0][0], y[1][1][0]) + y[0][1])
+    return tuple(out)
 
 
 def _apply_matrix(x, m, q):
@@ -728,7 +685,8 @@ def omega_model(q):
     p = (q * q + 1) // 2
     if q < 5 or not is_prime(q) or not is_prime(p):
         raise ValueError("need an odd prime q >= 5 with (q^2+1)/2 prime")
-    theta = _pick_theta(q)
+    # a generator of F_q* is a nonsquare
+    theta = min(primitive_roots(q))
     pts = set()
     for x1 in range(q):
         for x2 in range(q):
@@ -751,13 +709,13 @@ def omega_model(q):
     suborbits = {lam: tuple(v) for lam, v in suborbits.items()}
 
     def perm_of(g):
-        m = tensor_matrix(g, q, theta)
+        m = hermitian_matrix(g, q, theta)
         return tuple(index[_canon_point(_apply_matrix(x, m, q), q)]
                      for x in points)
 
     one, zero, alpha = (1, 0), (0, 0), (0, 1)
     rho = perm_of((one, one, zero, one))
-    delta = perm_of((alpha, zero, zero, QuadExt(q, theta).inv(alpha)))
+    delta = perm_of((alpha, zero, zero, (0, pow(theta, -1, q))))
     tau = perm_of((one, alpha, zero, one))
     # the upper unitriangular matrices rho and tau generate, with this
     # flip, all of SL(2, q^2)

@@ -390,7 +390,7 @@ def survey_descriptors(max_order):
 def survey(max_order, budget=10 ** 7):
     rows = []
     for desc in survey_descriptors(max_order):
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             outcome = prove(desc, budget=budget)
             status, strategy = "hamiltonian", outcome.strategy
@@ -398,7 +398,7 @@ def survey(max_order, budget=10 ** 7):
             outcome, status, strategy = e, "exception", "-"
         except ProofFailure as e:
             outcome, status, strategy = e, "failed: %s" % e, "-"
-        seconds = round(time.time() - t0, 3)
+        seconds = round(time.perf_counter() - t0, 3)
         rows.append(SurveyRow(str(desc), outcome.order, outcome.valency,
                               status, strategy, seconds))
     return rows

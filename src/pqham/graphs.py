@@ -41,9 +41,6 @@ class Graph:
         g._adjsets = [frozenset(r) for r in rows]
         return g
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
     def degree(self, v):
         return len(self.adjacency[v])
 

@@ -175,20 +175,16 @@ def lift_closed_walk(q, walk):
     if k == 2:
         # The two steps traverse distinct parallel edges. volts[1] is
         # -volts[0], so it has a voltage other than -choice[0], and the
-        # two never sum to 0: only k >= 3 reaches the search below.
+        # two never sum to 0: only k >= 3 reaches the pick below.
         choice[1] = min(t for t in volts[1] if t != (-choice[0]) % n)
     if sum(choice) % n == 0:
-        choice = None
-        for i, s in enumerate(volts):
-            base = [min(v) for v in volts]
-            alts = [t for t in s if t != base[i]]
-            for t in alts:
-                base[i] = t
-                if sum(base) % n != 0:
-                    choice = base
-                    break
-            if choice:
-                break
+        # voltages lie in [0, n), so a second voltage at any one step
+        # moves the sum off 0
+        i = next((i for i, s in enumerate(volts) if len(s) > 1), None)
+        if i is None:
+            choice = None
+        else:
+            choice[i] = next(t for t in volts[i] if t != choice[i])
     orbs = q.orbits
     if choice is None:
         t0 = [min(s) for s in volts]

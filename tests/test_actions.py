@@ -14,6 +14,7 @@ from pqham.actions import (
     dihedral_row_data,
     dihedral_row_unions,
     empirical_row_data,
+    hermitian_matrix,
     omega_block_valencies,
     omega_graph,
     omega_model,
@@ -375,6 +376,25 @@ def test_omega_model_q5():
     sizes = sorted(len(o) for o in
                    permutation_orbits_of_group(m.norm_gens, 65))
     assert sizes == [5, 5, 5, 50]
+
+
+def test_hermitian_matrix_preserves_the_quadric_q5():
+    q, theta = 5, omega_model(5).theta
+    one, zero, alpha = (1, 0), (0, 0), (0, 1)
+    rho = (one, one, zero, one)
+    tau = (one, alpha, zero, one)
+    flip = (zero, (q - 1, 0), one, zero)
+    delta = (alpha, zero, zero, (0, pow(theta, -1, q)))
+
+    def form(x):
+        return (x[0] * x[1] - x[2] * x[2] + theta * x[3] * x[3]) % q
+
+    for g in (rho, tau, flip, delta):
+        m = hermitian_matrix(g, q, theta)
+        for x in product(range(q), repeat=4):
+            y = [sum(x[i] * m[i][j] for i in range(4)) % q
+                 for j in range(4)]
+            assert form(y) == form(x), (g, x)
 
 
 def permutation_orbits_of_group(perms, n):

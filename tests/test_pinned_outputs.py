@@ -1,11 +1,12 @@
 """Byte-identity of the program's proofs: a change that alters any
-survey certificate or `pqham quotient` output must update these digests
-on purpose and say why."""
+survey certificate, `pqham quotient` output or quadric model must update
+these digests on purpose and say why."""
 
 import hashlib
 
 import pytest
 
+from pqham.actions import omega_model
 from pqham.cli import main
 from pqham.engine import (
     NotHamiltonianException,
@@ -70,3 +71,15 @@ def test_survey_certificates_pinned():
 def test_quotient_stdout_pinned(capsys, argv, expected):
     assert main(argv) == 0
     assert digest(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("q, expected", [
+    (5, "b2c72bc8512ec21e"),
+    (11, "3808bfdb0ad7bed3"),
+    (19, "c7578c9006a00d98"),
+])
+def test_omega_model_pinned(q, expected):
+    m = omega_model(q)
+    assert digest(repr((m.theta, m.points, m.base, sorted(m.suborbits.items()),
+                        m.blocks, m.inner_blocks, m.outer_blocks, m.rho,
+                        m.norm_gens, m.gens))) == expected
