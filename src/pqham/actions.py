@@ -4,6 +4,7 @@ character model of PSL(2,p) acting on cosets of a maximal dihedral
 subgroup, and the quadric-point model of PSL(2,q^2) acting on cosets
 of PGL(2,q)."""
 
+from collections import deque
 from dataclasses import dataclass
 
 from .field import (
@@ -253,43 +254,99 @@ def suborbit_report(space):
 # ---------------------------------------------------------------------------
 # Coset spaces of matrix subgroups of PSL(2, p).
 
+def _moebius(m, p):
+    """The permutation z -> (za + c)/(zb + d) of the projective line over
+    F_p made by the matrix m = (a, b, c, d), with infinity encoded as p.
+    It is the action on row vectors, so the map of a product xg is the
+    map of x followed by the map of g."""
+    a, b, c, d = m
+    perm = [p if (z * b + d) % p == 0 else
+            (z * a + c) * pow(z * b + d, -1, p) % p for z in range(p)]
+    perm.append(p if b % p == 0 else a * pow(b, -1, p) % p)
+    return perm
+
+
+def _on_tuples(perm, k):
+    """perm acting on ordered k-tuples of points, the tuple (z1, ..., zk)
+    encoded as the number z1 z2 ... zk in base len(perm)."""
+    size = len(perm)
+    table = perm
+    for _ in range(k - 1):
+        table = [table[x // size] * size + perm[x % size]
+                 for x in range(len(table) * size)]
+    return table
+
+
+def _invariant_sets(perms):
+    """(k, O) for two sets O that the group with point permutations perms
+    maps onto itself: its smallest orbit on points (k = 1), then its orbit
+    on ordered triples through (0, 1, 2) (k = 3), encoded as _on_tuples
+    encodes it."""
+    size = len(perms[0])
+    yield 1, min((frozenset(pi[z] for pi in perms) for z in range(size)),
+                 key=len)
+    yield 3, frozenset((pi[0] * size + pi[1]) * size + pi[2] for pi in perms)
+
+
+def _key_search(start, moves):
+    """Breadth-first search from the key start along moves, each a table
+    of the generators on encoded tuples: (index of each key, keys in the
+    order found). A key popped a second time is skipped."""
+    index = {}
+    keys = []
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        if key in index:
+            continue
+        index[key] = len(keys)
+        keys.append(key)
+        for move in moves:
+            y = frozenset(map(move.__getitem__, key))
+            if y not in index:
+                queue.append(y)
+    return index, keys
+
+
 def psl2_coset_space(p, subgroup, sub_gens):
-    """Action of PSL(2,p) on the right cosets of the given subgroup,
-    by right multiplication; points are labelled by their
-    lexicographically least canonical matrix."""
+    """Action of PSL(2,p) on the right cosets of the given subgroup H, by
+    right multiplication. Cosets are numbered in breadth-first order from
+    H along t = (1,1,0,1) and s = (0,-1,1,0).
+
+    The coset Hx is keyed by O.x, the image of a set O of points, or of
+    ordered triples of points, of the projective line that H maps onto
+    itself, so the key of (Hx).g is O.x moved by g. The key is one-to-one
+    exactly when H is the whole setwise stabilizer of O, that is when the
+    search finds |PSL(2,p)|/|H| keys. The smallest H-orbit on points is
+    tried first; if it fails, its search stops within half that many keys.
+    Then the H-orbit of one ordered triple serves, since only the identity
+    fixes three points."""
     sub = [psl2_canon(h, p) for h in subgroup]
     subset = set(sub)
     for h in sub:
         for k in sub_gens:
             if psl2_mul(h, k, p) not in subset:
                 raise ValueError("subgroup is not closed under its generators")
-    t = psl2_canon((1, 1, 0, 1), p)
-    s = psl2_canon((0, -1, 1, 0), p)
-    assign = {}
-    reps = []
-    queue = [PSL2_ID]
-    while queue:
-        x = queue.pop(0)
-        if x in assign:
-            continue
-        coset = sorted(psl2_mul(h, x, p) for h in sub)
-        i = len(reps)
-        reps.append(coset[0])
-        for y in coset:
-            assign[y] = i
-        for g in (t, s):
-            y = psl2_mul(coset[0], g, p)
-            if y not in assign:
-                queue.append(y)
-    n = len(reps)
-    assert n * len(sub) == p * (p * p - 1) // 2
+    n, rest = divmod(p * (p * p - 1) // 2, len(sub))
+    if rest:
+        raise ValueError("the subgroup order does not divide |PSL(2,%d)|" % p)
+    t = _moebius((1, 1, 0, 1), p)
+    s = _moebius((0, -1, 1, 0), p)
+    for k, orbit in _invariant_sets([_moebius(h, p) for h in sub]):
+        moves = (_on_tuples(t, k), _on_tuples(s, k))
+        index, keys = _key_search(orbit, moves)
+        if len(keys) == n:
+            break
+    else:
+        raise ValueError("the subgroup is not a group")
 
-    def perm_of(g):
-        return tuple(assign[psl2_mul(reps[u], g, p)] for u in range(n))
+    def perm_of(move):
+        return tuple(index[frozenset(map(move.__getitem__, key))]
+                     for key in keys)
 
-    gens = (perm_of(t), perm_of(s))
-    stab = tuple(perm_of(h) for h in sub_gens)
-    return action_space(n, 0, gens, stab, labels=tuple(reps))
+    gens = tuple(map(perm_of, moves))
+    stab = tuple(perm_of(_on_tuples(_moebius(h, p), k)) for h in sub_gens)
+    return action_space(n, 0, gens, stab)
 
 
 def alternating_triple_space():

@@ -67,11 +67,13 @@ class Certificate:
 def graph_fingerprint(g):
     h = hashlib.sha256()
     h.update(("%d;%d;" % (g.n, g.edge_count)).encode())
+    names = [str(v) for v in range(g.n)]
     for u, row in enumerate(g.adjacency):
         later = row[bisect_right(row, u):]
         if later:
-            pre = "%d," % u
-            h.update((pre + (";" + pre).join(map(str, later)) + ";").encode())
+            pre = names[u] + ","
+            h.update((pre + (";" + pre).join([names[v] for v in later])
+                      + ";").encode())
     return h.hexdigest()[:16]
 
 

@@ -13,10 +13,14 @@ class Graph:
     adjacency lists. Immutable after construction.
 
     Graph(n, edges) is the public constructor: it rejects loops and
-    out-of-range ends, and merges repeated edges. Graph._from_rows(rows)
-    takes adjacency rows as given and checks nothing; only orbit_graph
-    calls it, once it has proven its rows sorted, symmetric and
-    loop-free."""
+    out-of-range ends, and merges repeated edges. Graph._from_rows(rows,
+    automorphisms) takes adjacency rows as given and checks nothing; only
+    orbit_graph calls it, once it has proven its rows sorted, symmetric
+    and loop-free and every one of the given permutations an
+    automorphism. The graph records those in _automorphisms, as tuples;
+    Graph(n, edges) records none."""
+
+    _automorphisms = ()
 
     def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
@@ -32,13 +36,15 @@ class Graph:
         self._adjsets = [frozenset(s) for s in adj]
 
     @classmethod
-    def _from_rows(cls, rows):
+    def _from_rows(cls, rows, automorphisms):
         """The graph whose row v is rows[v]. Each row must be strictly
-        increasing, hold no v, and hold u exactly when rows[u] holds v."""
+        increasing, hold no v, and hold u exactly when rows[u] holds v;
+        each of automorphisms must be an automorphism of the graph."""
         g = cls.__new__(cls)
         g.n = len(rows)
         g.adjacency = [tuple(r) for r in rows]
         g._adjsets = [frozenset(r) for r in rows]
+        g._automorphisms = tuple(map(tuple, automorphisms))
         return g
 
     def degree(self, v):
@@ -55,8 +61,7 @@ class Graph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def is_regular(self):
-        degs = {self.degree(v) for v in range(self.n)}
-        return len(degs) <= 1
+        return len(set(map(len, self.adjacency))) <= 1
 
     def valency(self):
         if not self.is_regular():
@@ -92,7 +97,8 @@ def orbit_graph(gens, base, row):
     spanning tree of generator moves, N(g[u]) = g(N(u)), and the result
     is proven. ValueError when a generator is not a permutation of
     range(n), row holds base or a point outside range(n), the generators
-    do not act transitively, or one of the two proofs fails."""
+    do not act transitively, or one of the two proofs fails. The graph
+    records gens as proven automorphisms."""
     n = len(gens[0])
     points = set(range(n))
     for perm in gens:
@@ -119,7 +125,7 @@ def orbit_graph(gens, base, row):
         raise ValueError("generators do not act transitively")
     for r in rows:
         r.sort()
-    g = Graph._from_rows(rows)
+    g = Graph._from_rows(rows, gens)
     # Every generator maps each row onto the row of its image, so the
     # directed pairs form a group-invariant set that holds the base pairs
     # and lies in their orbit: they are exactly that orbit. Tree moves hold

@@ -44,8 +44,9 @@ def permutation_orbits(*perms):
 def _semiregular_orbits(g, perm):
     """The cycles of perm, as permutation_orbits lists them, when perm is
     a g-automorphism whose cycles all share one length n >= 2; None
-    otherwise."""
-    if not is_automorphism(g, perm):
+    otherwise. A perm that g records as a proven automorphism is not
+    checked again."""
+    if tuple(perm) not in g._automorphisms and not is_automorphism(g, perm):
         return None
     orbs = permutation_orbits(perm)
     if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:

@@ -17,7 +17,47 @@ a one-cell misprint: cell (4,5) reads {5} (and (5,4) reads {8}) where the
 true graph needs {2} (resp. {11}); as printed the derived graph is not
 even vertex-transitive.  SYMBOL_13 carries the corrected cell and
 SYMBOL_13_MISPRINT records the printed variant.
+
+enumerate_psl2_coset_space builds the PSL(2,p) coset action by listing
+every coset in full, the way the library did before it keyed cosets by
+point sets of the projective line; the two must agree point for point.
 """
+
+from pqham.actions import PSL2_ID, action_space, psl2_canon, psl2_mul
+
+
+def enumerate_psl2_coset_space(p, subgroup, sub_gens):
+    """Action of PSL(2,p) on the right cosets of subgroup by right
+    multiplication, cosets numbered in breadth-first order along
+    t = (1,1,0,1) and s = (0,-1,1,0) and labelled by their least
+    canonical matrix."""
+    sub = [psl2_canon(h, p) for h in subgroup]
+    t = psl2_canon((1, 1, 0, 1), p)
+    s = psl2_canon((0, -1, 1, 0), p)
+    assign = {}
+    reps = []
+    queue = [PSL2_ID]
+    while queue:
+        x = queue.pop(0)
+        if x in assign:
+            continue
+        coset = sorted(psl2_mul(h, x, p) for h in sub)
+        i = len(reps)
+        reps.append(coset[0])
+        for y in coset:
+            assign[y] = i
+        for g in (t, s):
+            y = psl2_mul(coset[0], g, p)
+            if y not in assign:
+                queue.append(y)
+    n = len(reps)
+    assert n * len(sub) == p * (p * p - 1) // 2
+
+    def perm_of(g):
+        return tuple(assign[psl2_mul(reps[u], g, p)] for u in range(n))
+
+    return action_space(n, 0, (perm_of(t), perm_of(s)),
+                        tuple(perm_of(h) for h in sub_gens), labels=reps)
 
 
 def _pm(p, *vals):

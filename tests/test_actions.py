@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from pqham import actions
 from pqham.actions import (
     INF,
     PSL2_ID,
@@ -35,6 +36,7 @@ from pqham.graphs import Graph, hamilton_cycle, verify_hamilton_cycle
 from pqham.quotients import (
     Symbol,
     graph_from_symbol,
+    is_automorphism,
     permutation_orbits,
     quotient,
     semiregular_isomorphism,
@@ -46,6 +48,7 @@ from reference_actions import (
     PUB_EDGE_TABLE_61,
     SYMBOL_13,
     SYMBOL_13_MISPRINT,
+    enumerate_psl2_coset_space,
 )
 
 
@@ -121,6 +124,117 @@ def test_a4_valency_4_graphs():
     iso01 = semiregular_isomorphism(graphs[0], rho, graphs[1], rho)
     iso12 = semiregular_isomorphism(graphs[1], rho, graphs[2], rho)
     assert iso01 is None and iso12 is not None
+
+
+def keyed_space(monkeypatch, p, sub, gens):
+    """psl2_coset_space(p, sub, gens) and, for each key search it made,
+    (k, keys found), k the tuple length of the point set it keyed by."""
+    searches = []
+    search = actions._key_search
+
+    def recording(start, moves):
+        found = search(start, moves)
+        k = {(p + 1) ** k: k for k in (1, 3)}[len(moves[0])]
+        searches.append((k, len(found[1])))
+        return found
+    monkeypatch.setattr(actions, "_key_search", recording)
+    return psl2_coset_space(p, sub, gens), searches
+
+
+def assert_same_action(sp, ref):
+    assert (sp.n, sp.base) == (ref.n, ref.base)
+    assert sp.gens == ref.gens
+    assert sp.stab_gens == ref.stab_gens
+    assert sp.suborbits == ref.suborbits
+
+
+# (p, orders of a, b and ab, |H|) for psl2_subgroup_scan, and the tuple
+# length that keys the cosets: the smallest orbit on points for A5 at 61,
+# A4 at 13 and 37 and S4 at 17; an orbit on ordered triples for A5 at 11,
+# 19 and 29, and V4 at 13
+KEYED_CASES = [((61, 2, 3, 5, 60), 1), ((13, 2, 3, 3, 12), 1),
+               ((17, 2, 3, 4, 24), 1), ((37, 2, 3, 3, 12), 1),
+               ((11, 2, 3, 5, 60), 3), ((19, 2, 3, 5, 60), 3),
+               ((29, 2, 3, 5, 60), 3), ((13, 2, 2, 2, 4), 3)]
+
+
+@pytest.mark.parametrize("case,k", KEYED_CASES, ids=str)
+def test_psl2_coset_space_matches_full_enumeration(monkeypatch, case, k):
+    sub, gens = psl2_subgroup_scan(*case)
+    sp, searches = keyed_space(monkeypatch, case[0], sub, gens)
+    assert searches[-1] == (k, sp.n)
+    assert_same_action(sp, enumerate_psl2_coset_space(case[0], sub, gens))
+    assert sp.labels is None
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_psl2_coset_space_of_the_trivial_subgroup(monkeypatch, p):
+    # the stabilizer of a point is never trivial, that of an ordered
+    # triple always is
+    sp, searches = keyed_space(monkeypatch, p, [PSL2_ID], [PSL2_ID])
+    assert searches == [(1, p + 1), (3, p * (p * p - 1) // 2)]
+    assert_same_action(sp, enumerate_psl2_coset_space(p, [PSL2_ID],
+                                                      [PSL2_ID]))
+
+
+@pytest.mark.parametrize("g", [PSL2_ID, (0, -1, 1, 0), (0, -1, 1, -1)],
+                         ids=["trivial", "order-2", "order-3"])
+def test_psl2_coset_key_search_is_bounded(monkeypatch, g):
+    # a small subgroup H at p = 61: a point set that fails to key the
+    # cosets reaches at most half of them, and the triple orbit then keys
+    # every one, so the searches find fewer than 1.5 |G|/|H| keys in all
+    p = 61
+    sub = [PSL2_ID]
+    while psl2_mul(sub[-1], g, p) != PSL2_ID:
+        sub.append(psl2_mul(sub[-1], g, p))
+    monkeypatch.setattr(actions, "action_space",
+                        lambda n, base, gens, stab_gens: n)
+    n, searches = keyed_space(monkeypatch, p, sub, [g])
+    assert n * len(sub) == p * (p * p - 1) // 2
+    assert searches[-1] == (3, n)
+    assert sum(found for _, found in searches) < 1.5 * n
+
+
+def test_psl2_coset_space_of_dihedral_subgroups():
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        sub, gens = psl2_dihedral_subgroup(p)
+        assert_same_action(psl2_coset_space(p, sub, gens),
+                           enumerate_psl2_coset_space(p, sub, gens))
+
+
+def test_moebius_map_of_a_product_composes():
+    p = 13
+    els = psl2_elements(p)[::97]
+    for x, g in product(els, repeat=2):
+        mx, mg = actions._moebius(x, p), actions._moebius(g, p)
+        assert actions._moebius(psl2_mul(x, g, p), p) == [mg[z] for z in mx]
+        assert sorted(mx) == list(range(p + 1))
+
+
+def test_quotient_checks_a_perm_the_graph_has_not_proven():
+    sp = a4_coset_space()
+    four = next(s.index for s in sp.suborbits if s.size == 4)
+    g = orbital_graph(sp, (four,))
+    assert g._automorphisms == sp.gens
+    rho = list(sp.gens[0])
+    # rho relabelled by a transposition of two of its cycles: still seven
+    # 13-cycles, but no automorphism
+    first = permutation_orbits(rho)[0]
+    a, b = first[0], next(v for v in range(sp.n) if v not in first)
+    swap = list(range(sp.n))
+    swap[a], swap[b] = b, a
+    moved = [swap[rho[swap[v]]] for v in range(sp.n)]
+    assert sorted(map(len, permutation_orbits(moved))) == [13] * 7
+    assert not is_automorphism(g, moved)
+    with pytest.raises(ValueError):
+        quotient(g, moved)
+    # a proven automorphism with fixed points is still not semiregular
+    with pytest.raises(ValueError):
+        quotient(g, list(sp.gens[1]))
+    # the same edges through the public constructor carry no proof
+    h = Graph(g.n, g.edges())
+    assert h == g and h._automorphisms == ()
+    assert quotient(h, rho) == quotient(g, rho)
 
 
 def test_alternating_triple_space():

@@ -1,7 +1,9 @@
 """Graph._from_rows checks nothing, so only a builder that proves its
 rows sorted, symmetric and loop-free may use it. That is
 graphs.orbit_graph, which the orbital, quadric and metacirculant graph
-builders call."""
+builders call. The automorphisms a graph records in _automorphisms skip
+the check in quotients.quotient, so they too are set only in graphs.py,
+by _from_rows for the generators orbit_graph has proven."""
 
 import ast
 from pathlib import Path
@@ -31,4 +33,30 @@ def test_from_rows_used_only_by_graphs():
     src = Path(pqham.__file__).parent
     found = {path.name for path in src.glob("*.py")
              if uses_of(ast.parse(path.read_text()), "_from_rows")}
+    assert found == ALLOWED
+
+
+def stores_of(tree, name):
+    """Line numbers in tree that bind `name`, as a bare name or as an
+    attribute, or that spell it as a string, as setattr would take it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Store)
+                  and name in (getattr(node, "id", None),
+                               getattr(node, "attr", None))
+                  or isinstance(node, ast.Constant) and node.value == name)
+
+
+def test_stores_of_finds_bindings_only():
+    tree = ast.parse("_automorphisms = ()\n"
+                     "g._automorphisms = gens\n"
+                     "setattr(g, '_automorphisms', gens)\n"
+                     "seen = g._automorphisms\n")
+    assert stores_of(tree, "_automorphisms") == [1, 2, 3]
+
+
+def test_recorded_automorphisms_set_only_by_graphs():
+    src = Path(pqham.__file__).parent
+    found = {path.name for path in src.glob("*.py")
+             if stores_of(ast.parse(path.read_text()), "_automorphisms")}
     assert found == ALLOWED
