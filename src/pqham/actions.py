@@ -59,22 +59,19 @@ def psl2_order(m, p):
 
 
 def psl2_elements(p):
-    """All p(p^2-1)/2 canonical matrices of PSL(2, p), in sorted order.
+    """Yield the p(p^2-1)/2 canonical matrices of PSL(2, p), sorted.
 
     A canonical matrix with a = 0 has b in [1, (p-1)/2], c = -1/b and any
     d; one with a != 0 has a in [1, (p-1)/2], any b and c, and
     d = (1 + bc)/a. Listing them in that nesting order sorts them."""
     half = (p - 1) // 2
-    elems = []
     for b in range(1, half + 1):
         c = -pow(b, -1, p) % p
-        elems += [(0, b, c, d) for d in range(p)]
+        yield from ((0, b, c, d) for d in range(p))
     for a in range(1, half + 1):
         a_inv = pow(a, -1, p)
         for b in range(p):
-            elems += [(a, b, c, (1 + b * c) * a_inv % p) for c in range(p)]
-    assert len(elems) == p * (p * p - 1) // 2
-    return elems
+            yield from ((a, b, c, (1 + b * c) * a_inv % p) for c in range(p))
 
 
 def _need_odd_prime(p):
@@ -97,14 +94,15 @@ def psl2_dihedral_subgroup(p):
 def psl2_subgroup_scan(p, order_a, order_b, order_ab, size):
     """First subgroup (in deterministic scan order) generated by an
     element of order order_a and one of order order_b whose product has
-    order order_ab, of exactly the given size."""
+    order order_ab, of exactly the given size. Both scans stop at their
+    first hit, so the elements past it are never built."""
     _need_odd_prime(p)
-    elems = psl2_elements(p)
-    a = next((m for m in elems if psl2_order(m, p) == order_a), None)
+    a = next((m for m in psl2_elements(p) if psl2_order(m, p) == order_a),
+             None)
     if a is None:
         raise ValueError("PSL(2,%d) has no element of order %d"
                          % (p, order_a))
-    for b in elems:
+    for b in psl2_elements(p):
         if psl2_order(b, p) != order_b:
             continue
         if psl2_order(psl2_mul(a, b, p), p) != order_ab:

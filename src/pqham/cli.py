@@ -3,8 +3,8 @@ quotients, Hamilton certificates, the survey driver, the prime-sequence
 bound tables and the quartic exception scan.
 
 Exit status: 0 on success, 1 when no Hamilton certificate is produced
-(including the one genuinely non-hamiltonian instance), 2 on bad flags or
-parameters, never with a traceback.
+(including when a completed search proves that none exists), 2 on bad
+flags or parameters, never with a traceback.
 """
 
 import argparse
@@ -14,7 +14,6 @@ import sys
 from .actions import (
     alternating_triple_space,
     dihedral_model,
-    omega_model,
     psl2_coset_space,
     psl2_dihedral_subgroup,
     psl2_subgroup_scan,
@@ -25,7 +24,6 @@ from .engine import (
     NotHamiltonianException,
     ProofFailure,
     build_instance,
-    dihedral_union_labels,
     format_certificate,
     format_survey,
     prove,

@@ -31,7 +31,6 @@ from .graphs import (
     gp,
     hamilton_cycle,
     hamilton_path,
-    is_isomorphic,
     verify_hamilton_cycle,
 )
 from .quotients import lift_closed_walk, quotient
@@ -47,7 +46,8 @@ class _Uncertified(Exception):
 
 
 class NotHamiltonianException(_Uncertified):
-    """Raised for the one non-hamiltonian instance."""
+    """Raised when a completed exhaustive search proves that the graph has
+    no Hamilton cycle."""
 
 
 class ProofFailure(_Uncertified):
@@ -264,19 +264,14 @@ def _quotient_lift(g, q, trace):
     return None
 
 
-def _is_petersen(g):
-    return g.n == 10 and g.is_regular() and g.valency() == 3 \
-        and is_isomorphic(g, gp(5, 2))
-
-
 def prove(desc, budget=10 ** 7):
-    """A verified Hamilton certificate for the descriptor's graph, or
-    NotHamiltonianException (Petersen) / ProofFailure. The cycle is a
-    lifted quotient cycle when the instance's automorphism is
-    semiregular and one lifts fully, else the budgeted direct search's."""
+    """A verified Hamilton certificate for the descriptor's graph.
+    Raises NotHamiltonianException when a completed search proves that
+    the graph has none, and ProofFailure when the graph is disconnected
+    or the search exhausts its budget. The cycle is a lifted quotient
+    cycle when the instance's automorphism is semiregular and one lifts
+    fully, else the budgeted direct search's."""
     g, rho = build_instance(desc)
-    if _is_petersen(g):
-        raise NotHamiltonianException("the Petersen graph %s" % desc, g)
     if not g.is_connected():
         raise ProofFailure("%s is disconnected" % desc, g)
     trace = ["descriptor=%s" % desc]

@@ -192,23 +192,6 @@ def fermat_graph(spec):
     return g, rho
 
 
-def fermat_fiber_blocks(spec):
-    """The p blocks of size q (one per projective point) of F(p,q,S,T)."""
-    p, q = spec.p, spec.q
-    return [tuple(v * q + r for r in range(q)) for v in range(p)]
-
-
-def block_quotient(g, blocks):
-    """Simple graph on the blocks, adjacent when any edge joins them."""
-    owner = {}
-    for a, blk in enumerate(blocks):
-        for v in blk:
-            owner[v] = a
-    edges = {(min(owner[u], owner[v]), max(owner[u], owner[v]))
-             for u, v in g.edges() if owner[u] != owner[v]}
-    return Graph(len(blocks), sorted(edges))
-
-
 def parse_family_spec(text):
     """Family spec from line-oriented key=value text; returns the
     MetacirculantSpec or FermatSpec."""
@@ -233,16 +216,3 @@ def parse_family_spec(text):
     except KeyError as e:
         raise ValueError("%s spec has no %s= line" % (fam, e.args[0]))
     raise ValueError("unknown family %r" % fam)
-
-
-def format_family_spec(spec):
-    if isinstance(spec, MetacirculantSpec):
-        lines = ["family=metacirculant", "m=%d" % spec.m, "n=%d" % spec.n,
-                 "alpha=%d" % spec.alpha]
-        lines += ["T%d=%s" % (i, ",".join(map(str, sorted(t))))
-                  for i, t in enumerate(spec.tails)]
-    else:
-        lines = ["family=fermat", "p=%d" % spec.p, "q=%d" % spec.q,
-                 "S=%s" % ",".join(map(str, sorted(spec.s_set))),
-                 "T=%s" % ",".join(map(str, sorted(spec.t_set)))]
-    return "\n".join(lines) + "\n"

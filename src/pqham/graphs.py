@@ -1,7 +1,5 @@
-"""Simple graphs, exact Hamilton search with certificates, classical
-hamiltonicity certificates, and generalized Petersen machinery."""
-
-from itertools import combinations
+"""Simple graphs, exact Hamilton search with certificates, and
+generalized Petersen machinery."""
 
 
 class BudgetExceeded(Exception):
@@ -155,15 +153,6 @@ def verify_hamilton_cycle(g, cycle):
                for i in range(g.n))
 
 
-def verify_hamilton_path(g, path, u, v):
-    """True iff path is a Hamilton path of g from u to v."""
-    if path is None or len(path) != g.n or len(set(path)) != g.n:
-        return False
-    if path[0] != u or path[-1] != v:
-        return False
-    return all(g.has_edge(path[i], path[i + 1]) for i in range(g.n - 1))
-
-
 def _search(g, start, target, budget):
     """Depth-first Hamilton search on an explicit stack. target None means
     close a cycle at start; otherwise find a Hamilton path ending at
@@ -300,67 +289,6 @@ def hamilton_path(g, u, v, budget=10**6):
     return _search(g, u, v, budget)[0]
 
 
-def chvatal_certifies(g):
-    """Degree-threshold certificate: true iff for every i < n/2 either
-    |S_i| <= i-1 or |S_{n-i-1}| <= n-i-1, where S_i = {x : deg(x) <= i}."""
-    n = g.n
-    if n < 3:
-        raise ValueError("need n >= 3")
-    degs = sorted(g.degree(v) for v in range(n))
-    import bisect
-    size = lambda i: bisect.bisect_right(degs, i)
-    i = 1
-    while 2 * i < n:
-        if not (size(i) <= i - 1 or size(n - i - 1) <= n - i - 1):
-            return False
-        i += 1
-    return True
-
-
-def _is_biconnected(g):
-    n = g.n
-    if n < 3 or not g.is_connected():
-        return False
-    disc = [0] * n
-    low = [0] * n
-    timer = [1]
-    # iterative articulation-point DFS from vertex 0
-    parent = [-1] * n
-    stack = [(0, iter(g.adjacency[0]))]
-    disc[0] = low[0] = timer[0]
-    timer[0] += 1
-    root_children = 0
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == 0:
-                parent[w] = u
-                disc[w] = low[w] = timer[0]
-                timer[0] += 1
-                if u == 0:
-                    root_children += 1
-                stack.append((w, iter(g.adjacency[w])))
-                advanced = True
-                break
-            elif w != parent[u]:
-                low[u] = min(low[u], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p != 0 and low[u] >= disc[p]:
-                    return False
-    return root_children <= 1
-
-
-def jackson_certifies(g):
-    """Regular 2-connected graph with valency at least n/3."""
-    return (g.is_regular() and _is_biconnected(g)
-            and 3 * g.valency() >= g.n)
-
-
 def gp(n, k, collapse=False):
     """Generalized Petersen graph: outer n-cycle u_0..u_{n-1} (vertices
     0..n-1), inner k-jump cycle v_0..v_{n-1} (vertices n..2n-1), spokes.
@@ -441,82 +369,6 @@ def gp2_path_admissible(n, x, y):
     if not xu and not yu and _offset_matches(d, 3, n, True):
         return False
     return True
-
-
-def find_isomorphism(g, h, seed=None):
-    """A vertex bijection g -> h preserving adjacency, or None; seed may
-    prescribe part of the map (e.g. for automorphism searches)."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return None
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return None
-    n = g.n
-    # order g's vertices to keep the partial map connected where possible
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    if seed:
-        order = list(seed) + [v for v in order if v not in seed]
-    seen = set()
-    seq = []
-    for v in order:
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            seq.append(u)
-            for w in g.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    mapping = {}
-    used = [False] * n
-    if seed:
-        for u, c in seed.items():
-            if g.degree(u) != h.degree(c) or used[c]:
-                return None
-            mapping[u] = c
-            used[c] = True
-        for u, c in seed.items():
-            for w in g.adjacency[u]:
-                if w in mapping and not h.has_edge(c, mapping[w]):
-                    return None
-
-    def options(u):
-        # the images of u consistent with the partial map, in vertex order
-        for c in range(n):
-            if used[c] or h.degree(c) != g.degree(u):
-                continue
-            if any(w in mapping and not h.has_edge(c, mapping[w])
-                   for w in g.adjacency[u]):
-                continue
-            if any(h.has_edge(c, cw) and not g.has_edge(u, w)
-                   for w, cw in mapping.items()):
-                continue
-            yield c
-
-    # depth-first over the unseeded vertices on an explicit stack: trail[i]
-    # holds the untried images of free[i], so no recursion grows with n
-    free = [u for u in seq if u not in mapping]
-    trail = [options(free[0])] if free else []
-    while trail:
-        u = free[len(trail) - 1]
-        if u in mapping:  # back from a dead end: undo u's image
-            used[mapping.pop(u)] = False
-        c = next(trail[-1], None)
-        if c is None:
-            trail.pop()
-            continue
-        mapping[u] = c
-        used[c] = True
-        if len(trail) == len(free):
-            return [mapping[v] for v in range(n)]
-        trail.append(options(free[len(trail)]))
-    return None if free else [mapping[v] for v in range(n)]
-
-
-def is_isomorphic(g, h):
-    return find_isomorphism(g, h) is not None
 
 
 def parse_edge_list(text):

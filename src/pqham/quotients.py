@@ -2,7 +2,6 @@
 matrix, and cycle lifting through cyclic voltages."""
 
 from dataclasses import dataclass
-from math import gcd
 
 from .field import is_prime
 from .graphs import Graph
@@ -124,22 +123,6 @@ def quotient(g, perm):
     return Quotient(Graph(m, edges), tuple(map(tuple, orbs)), sym)
 
 
-def graph_from_symbol(sym):
-    """Graph on m*n vertices (orbit i position a at i*n+a) realizing the
-    symbol; round-trips to an isomorphic copy of the source graph."""
-    m, n = sym.m, sym.n
-    edges = set()
-    for i in range(m):
-        for j in range(m):
-            for t in sym.sets[i][j]:
-                for a in range(n):
-                    u = i * n + a
-                    v = j * n + (a + t) % n
-                    if u != v:
-                        edges.add((min(u, v), max(u, v)))
-    return Graph(m * n, sorted(edges))
-
-
 def format_symbol(sym):
     """Plain-text matrix with voltage sets in braces."""
     cells = [["{" + ",".join(map(str, sorted(s))) + "}" if s else "{}"
@@ -202,52 +185,3 @@ def lift_closed_walk(q, walk):
             cyc.append(orbs[walk[i]][a % n])
             a = (a + choice[i]) % n
     return LiftOutcome(True, tuple(cyc), 1)
-
-
-def semiregular_isomorphism(g, perm_g, h, perm_h):
-    """An isomorphism g -> h carrying perm_g to a power of perm_h, as a
-    vertex list, or None.  ValueError unless both permutations are
-    semiregular; a different orbit shape or edge count gives None.
-
-    The search runs on the two symbols.  Such a map sends orbit i of g to
-    orbit J[i] of h by t -> s[i] + lam*t for a unit lam mod n, so it
-    exists iff S_h[J k][J i] = {s[i] - s[k] + lam*d : d in S_g[k][i]} for
-    all k <= i.  Composing with a power of perm_h, an automorphism of h,
-    makes s[0] = 0.  One explicit-stack depth-first search per lam places
-    the orbits in turn and keeps a placement only if it fits every
-    placed orbit."""
-    qg, qh = quotient(g, perm_g), quotient(h, perm_h)
-    m, n = qg.m, qg.n
-    if (m, n) != (qh.m, qh.n) or g.edge_count != h.edge_count:
-        return None
-    sg, sh = qg.symbol.sets, qh.symbol.sets
-    for lam in range(1, n):
-        if gcd(lam, n) != 1:
-            continue
-        scaled = [[[lam * d % n for d in cell] for cell in row] for row in sg]
-        place = []  # (J[k], s[k]) for the orbits k placed so far
-        stack = [[(j, 0) for j in reversed(range(m))]]
-        while stack:
-            if not stack[-1]:
-                stack.pop()
-                if place:
-                    place.pop()
-                continue
-            j, s = stack[-1].pop()
-            i = len(place)
-            place.append((j, s))
-            if not all(sh[jk][j] == {(s - sk + d) % n for d in scaled[k][i]}
-                       for k, (jk, sk) in enumerate(place)):
-                place.pop()
-            elif len(place) < m:
-                used = {jk for jk, _ in place}
-                stack.append([(j2, s2) for j2 in reversed(range(m))
-                              if j2 not in used for s2 in reversed(range(n))])
-            else:
-                phi = [None] * g.n
-                for orb, (j, s) in zip(qg.orbits, place):
-                    target = qh.orbits[j]
-                    for t, u in enumerate(orb):
-                        phi[u] = target[(s + lam * t) % n]
-                return phi
-    return None

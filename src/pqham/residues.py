@@ -4,9 +4,9 @@ and the even-quartic primitive-root exception sets."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
-from .field import classify, is_prime, prime_factors, primitive_roots, squares
+from .field import is_prime, prime_factors, primitive_roots, squares
 
 SEARCH_CEILING = 10**6
 

@@ -35,11 +35,9 @@ from pqham.field import squares
 from pqham.graphs import Graph, hamilton_cycle, verify_hamilton_cycle
 from pqham.quotients import (
     Symbol,
-    graph_from_symbol,
     is_automorphism,
     permutation_orbits,
     quotient,
-    semiregular_isomorphism,
     verify_semiregular,
 )
 from reference_actions import (
@@ -50,6 +48,7 @@ from reference_actions import (
     SYMBOL_13_MISPRINT,
     enumerate_psl2_coset_space,
 )
+from reference_quotients import graph_from_symbol, semiregular_isomorphism
 
 
 def test_psl2_arithmetic():
@@ -59,15 +58,14 @@ def test_psl2_arithmetic():
     a = psl2_canon((1, 5, 0, 1), p)
     assert psl2_mul(a, psl2_inv(a, p), p) == PSL2_ID
     assert psl2_order(a, p) == 13
-    els = psl2_elements(p)
-    assert len(els) == p * (p * p - 1) // 2
 
 
 def test_psl2_elements_are_the_sorted_canonical_matrices():
     for p in (5, 7, 11, 13):
         brute = sorted({psl2_canon(m, p) for m in product(range(p), repeat=4)
                         if (m[0] * m[3] - m[1] * m[2]) % p == 1})
-        assert psl2_elements(p) == brute
+        assert len(brute) == p * (p * p - 1) // 2
+        assert list(psl2_elements(p)) == brute
 
 
 def test_psl2_builders_reject_bad_parameters():
@@ -204,7 +202,7 @@ def test_psl2_coset_space_of_dihedral_subgroups():
 
 def test_moebius_map_of_a_product_composes():
     p = 13
-    els = psl2_elements(p)[::97]
+    els = list(psl2_elements(p))[::97]
     for x, g in product(els, repeat=2):
         mx, mg = actions._moebius(x, p), actions._moebius(g, p)
         assert actions._moebius(psl2_mul(x, g, p), p) == [mg[z] for z in mx]

@@ -7,14 +7,11 @@ from pqham.families import (
     FermatSpec,
     GF2k,
     MetacirculantSpec,
-    block_quotient,
-    fermat_fiber_blocks,
     fermat_graph,
-    format_family_spec,
     metacirculant,
     parse_family_spec,
 )
-from pqham.graphs import Graph, find_isomorphism, gp, is_isomorphic
+from pqham.graphs import Graph, gp
 from pqham.quotients import (
     is_automorphism,
     permutation_orbits,
@@ -25,6 +22,7 @@ from reference_families import (
     edge_rule_metacirculant,
     random_metacirculant_spec,
 )
+from reference_graphs import find_isomorphism, is_isomorphic
 
 
 def complete_graph(n):
@@ -58,7 +56,7 @@ def test_gf2k_arithmetic():
 
 def test_metacirculant_petersen():
     g, rho, sigma = metacirculant(PET_SPEC)
-    assert is_isomorphic(g, gp(5, 2))
+    assert g == gp(5, 2)
     assert verify_semiregular(g, rho) == (2, 5)
     assert is_automorphism(g, sigma)
     assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
@@ -69,7 +67,7 @@ def test_metacirculant_circulant():
     spec = MetacirculantSpec(1, 7, 1, (frozenset({1, 6}),))
     g, rho, sigma = metacirculant(spec)
     c7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
-    assert is_isomorphic(g, c7)
+    assert g == c7
     assert verify_semiregular(g, rho) == (1, 7)
 
 
@@ -118,14 +116,20 @@ def test_fermat_smallest_is_line_graph_of_petersen():
     assert verify_semiregular(g, rho) == (5, 3)
 
 
+def fiber_quotient(g, q):
+    """The simple graph on the fibers {v*q + r : r in Z_q} of a Fermat
+    graph, two fibers adjacent when an edge joins them."""
+    return Graph(g.n // q, [(u // q, v // q) for u, v in g.edges()
+                            if u // q != v // q])
+
+
 def test_fermat_block_quotient_complete():
     for spec in [FERMAT_53,
                  FermatSpec(17, 3, frozenset(), frozenset({1})),
                  FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2}))]:
         g, rho = fermat_graph(spec)
         assert verify_semiregular(g, rho) == (spec.p, spec.q)
-        bq = block_quotient(g, fermat_fiber_blocks(spec))
-        assert bq == complete_graph(spec.p)
+        assert fiber_quotient(g, spec.q) == complete_graph(spec.p)
 
 
 def test_fermat_orbit_quotient_is_not_complete():
@@ -160,9 +164,12 @@ def test_fermat_validation():
 
 
 def test_spec_file_round_trips():
-    for spec in [PET_SPEC, FERMAT_53,
-                 FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2}))]:
-        assert parse_family_spec(format_family_spec(spec)) == spec
+    assert parse_family_spec(
+        "family=metacirculant\nm=2\nn=5\nalpha=2\nT0=1,4\nT1=0\n") == PET_SPEC
+    assert parse_family_spec("family=fermat\np=5\nq=3\nS=\nT=1\n") == FERMAT_53
+    assert parse_family_spec(
+        "# comment\n\nfamily = fermat\np=17\nq=5\nS=4,1\nT=1,2\n") == \
+        FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2}))
     with pytest.raises(ValueError):
         parse_family_spec("family=unknown\n")
 

@@ -8,22 +8,24 @@ from pqham.graphs import (
     Graph,
     gp,
     hamilton_cycle,
-    is_isomorphic,
     verify_hamilton_cycle,
 )
 from pqham.quotients import (
     LiftOutcome,
     Symbol,
     format_symbol,
-    graph_from_symbol,
     is_automorphism,
     lift_closed_walk,
     permutation_orbits,
     quotient,
-    semiregular_isomorphism,
     verify_semiregular,
 )
-from reference_quotients import brute_semiregular_isomorphism
+from reference_graphs import is_isomorphic
+from reference_quotients import (
+    brute_semiregular_isomorphism,
+    graph_from_symbol,
+    semiregular_isomorphism,
+)
 
 
 def odd_graph_4():
@@ -32,6 +34,13 @@ def odd_graph_4():
     edges = [(i, j) for (i, s), (j, t) in combinations(list(enumerate(subs)), 2)
              if not set(s) & set(t)]
     return Graph(35, edges), subs
+
+
+def by_orbits(g, q):
+    """g relabelled by orbit position: q.orbits[i][a] -> i*n + a."""
+    label = {v: i * q.n + a for i, orb in enumerate(q.orbits)
+             for a, v in enumerate(orb)}
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
 
 
 def odd_graph_aut(subs, point_perm):
@@ -129,12 +138,13 @@ def test_symbol_c5():
 
 def test_symbol_invariants_and_roundtrip():
     for g, rho in [(PETERSEN, PET_RHO), (O4, O4_RHO)]:
-        s = quotient(g, rho).symbol
+        q = quotient(g, rho)
+        s = q.symbol
         for i in range(s.m):
             assert s.sets[i][i] == frozenset((-t) % s.n for t in s.sets[i][i])
             for j in range(s.m):
                 assert s.sets[j][i] == frozenset((-t) % s.n for t in s.sets[i][j])
-        assert is_isomorphic(graph_from_symbol(s), g)
+        assert graph_from_symbol(s) == by_orbits(g, q)
 
 
 def test_published_symbol_realizes_o4():
@@ -253,7 +263,7 @@ def test_random_circulant_quotients():
         assert q.graph.edges() == [(a, b) for a, b in
                                    combinations(range(q.m), 2)
                                    if q.d(a, b) >= 1]
-        assert is_isomorphic(graph_from_symbol(q.symbol), g)
+        assert graph_from_symbol(q.symbol) == by_orbits(g, q)
 
 
 def circulant(n, jumps):
