@@ -6,6 +6,7 @@ of PGL(2,q)."""
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .field import (
     NONSQUARE,
@@ -16,7 +17,7 @@ from .field import (
     sqrt_mod,
     squares,
 )
-from .graphs import orbit_graph
+from .graphs import orbit_graph, transversal
 from .quotients import permutation_orbits, quotient
 
 
@@ -156,87 +157,45 @@ class CosetSpace:
     gens: tuple
     stab_gens: tuple
     suborbits: tuple
-    labels: tuple = None
 
 
-def _invert(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
-
-
-def action_space(n, base, gens, stab_gens, labels=None):
+def action_space(n, base, gens, stab_gens):
     """Build a CosetSpace: suborbits are the orbits of the stabilizer,
-    pairing is found by transporting the base point backwards along a
-    word taking base to the suborbit. Every generator must be a
-    permutation of range(n), and the stabilizer generators must fix
-    base."""
+    and the suborbit paired with the one holding x = t(base) holds
+    t^-1(base), t the word of the transversal's tree taking base to x.
+    Every generator must be a permutation of range(n), and the stabilizer
+    generators must fix base."""
     gens = tuple(tuple(g) for g in gens)
     stab_gens = tuple(tuple(g) for g in stab_gens)
-    points = set(range(n))
-    for g in gens + stab_gens:
-        if len(g) != n or set(g) != points:
-            raise ValueError("a generator is not a permutation of "
-                             "range(%d)" % n)
+    moves = gens + stab_gens
+    order, tree = transversal(moves, base)
+    if len(order) != n:
+        raise ValueError("the generators do not permute range(%d)" % n)
     if any(g[base] != base for g in stab_gens):
         raise ValueError("a stabilizer generator moves the base point")
-    # breadth-first words from the base point
-    prev = {base: None}
-    queue = [base]
-    while queue:
-        x = queue.pop(0)
-        for gi, g in enumerate(gens):
-            y = g[x]
-            if y not in prev:
-                prev[y] = (x, gi)
-                queue.append(y)
-    if len(prev) != n:
-        raise ValueError("generators do not act transitively")
-    inv_gens = [_invert(g) for g in gens]
-
-    def backward(point):
-        word = []
-        while prev[point] is not None:
-            point, gi = prev[point]
-            word.append(gi)
-        x = base
-        for gi in word:  # word is already innermost-first
-            x = inv_gens[gi][x]
-        return x
-
+    inverses = [sorted(range(n), key=g.__getitem__) for g in moves]
     orbits = [tuple(sorted(o)) for o in permutation_orbits(*stab_gens)]
-    where = {}
-    for i, orbit in enumerate(orbits):
-        for v in orbit:
-            where[v] = i
+    where = {v: i for i, orbit in enumerate(orbits) for v in orbit}
     subs = []
     for i, orbit in enumerate(orbits):
-        subs.append(Suborbit(i, orbit, where[backward(orbit[0])]))
+        x, point = base, orbit[0]
+        while point != base:  # t^-1 undoes t's moves, last move first
+            gi, point = tree[point]
+            x = inverses[gi][x]
+        subs.append(Suborbit(i, orbit, where[x]))
     for s in subs:
         if subs[s.paired].paired != s.index or subs[s.paired].size != s.size:
             raise AssertionError("inconsistent suborbit pairing")
-    return CosetSpace(n, base, gens, stab_gens, tuple(subs),
-                      None if labels is None else tuple(labels))
+    return CosetSpace(n, base, gens, stab_gens, tuple(subs))
 
 
 def orbital_graph(space, union):
     """Graph whose edge set is the orbit of the edges joining the base
-    point to the given suborbits; union must be closed under pairing and
-    must not contain the trivial suborbit. orbit_graph also rejects a
-    "suborbit" that is not an orbit of the full base stabilizer."""
-    idx = sorted({s.index if isinstance(s, Suborbit) else s for s in union})
-    subs = [space.suborbits[i] for i in idx]
-    for s in subs:
-        if s.paired not in idx:
-            raise ValueError(
-                "suborbit %d is not self-paired; include its partner %d"
-                % (s.index, s.paired))
-    g = orbit_graph(space.gens, space.base,
-                    [v for s in subs for v in s.points])
-    want = sum(s.size for s in subs)
-    assert g.is_regular() and g.valency() == want
-    return g
+    point to the suborbits with the given indices. orbit_graph proves the
+    union closed under pairing and under the whole base stabilizer, and
+    rejects the trivial suborbit."""
+    return orbit_graph(space.gens, space.base,
+                       [v for i in union for v in space.suborbits[i].points])
 
 
 def suborbit_report(space):
@@ -348,39 +307,32 @@ def psl2_coset_space(p, subgroup, sub_gens):
 
 
 def alternating_triple_space():
-    """The alternating group on 7 letters acting on the 35 unordered
-    3-subsets."""
-    from itertools import combinations
-    labels = list(combinations(range(7), 3))
-    idx = {t: i for i, t in enumerate(labels)}
-    rot3 = [1, 2, 0, 3, 4, 5, 6]
-    rot7 = [(i + 1) % 7 for i in range(7)]
+    """The alternating group on 7 letters, generated by (0 1 2) and the
+    7-cycle, acting on the 35 unordered 3-subsets. Triple 0 is {0, 1, 2};
+    its stabilizer, of order 72, is generated by (0 1 2), (3 4 5),
+    (4 5 6) and (0 1)(3 4)."""
+    triples = list(combinations(range(7), 3))
+    idx = {t: i for i, t in enumerate(triples)}
 
-    def induced(pp):
-        return tuple(idx[tuple(sorted(pp[x] for x in t))] for t in labels)
+    def induced(images):
+        return tuple(idx[tuple(sorted(images[x] for x in t))]
+                     for t in triples)
 
-    group = {tuple(range(7))}
-    frontier = [tuple(range(7))]
-    while frontier:
-        x = frontier.pop()
-        for g in (rot3, rot7):
-            y = tuple(g[i] for i in x)
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    assert len(group) == 2520
-    base = set(labels[0])
-    stab = [induced(pp) for pp in sorted(group)
-            if {pp[0], pp[1], pp[2]} == base]
-    return action_space(35, 0, (induced(rot3), induced(rot7)), tuple(stab),
-                        labels=tuple(labels))
+    rot3 = (1, 2, 0, 3, 4, 5, 6)
+    rot7 = (1, 2, 3, 4, 5, 6, 0)
+    stab = (rot3, (0, 1, 2, 4, 5, 3, 6), (0, 1, 2, 3, 5, 6, 4),
+            (1, 0, 2, 4, 3, 5, 6))
+    return action_space(35, 0, (induced(rot3), induced(rot7)),
+                        tuple(map(induced, stab)))
 
 
 # ---------------------------------------------------------------------------
 # Character model of PSL(2,p) on the cosets of the dihedral subgroup of
-# order p-1.  Cosets are identified with the point at infinity plus
-# classes of pairs (xi, eta) in F x F* under
-# (xi, eta) ~ (1-xi, xi*eta/(xi-1)) for xi not in {0, 1}.
+# order p-1, the setwise stabilizer of {0, infinity}.  A coset is the
+# unordered pair of points of the projective line it maps {0, infinity}
+# to, labelled INF ({0, infinity} itself) or by a class of pairs
+# (xi, eta) in F x F* under (xi, eta) ~ (1-xi, xi*eta/(xi-1)) for xi not
+# in {0, 1}; swapping the two points swaps the class members.
 
 INF = "inf"
 
@@ -394,24 +346,18 @@ def _char_class(xi, eta, p):
     return min((xi, eta), other)
 
 
-def _char(m, p):
-    a, b, c, d = m
-    if (b == 0 and c == 0) or (a == 0 and d == 0):
-        return INF
-    if a and b:
-        return _char_class(a * d, pow(a, -1, p) * b, p)
-    return _char_class(-c * b, pow(c, -1, p) * d, p)
-
-
-def _char_rep(label, p):
-    if label == INF:
-        return PSL2_ID
-    xi, eta = label
-    if xi == 1:
-        return psl2_canon((1, eta, 0, 1), p)
-    if xi == 0:
-        return psl2_canon((1, eta, -pow(eta, -1, p), 0), p)
-    return psl2_canon((1, eta, (xi - 1) * pow(eta, -1, p), xi), p)
+def _pair_label(z1, z2, p):
+    """Character label of the coset that maps the dihedral subgroup's
+    pair {0, infinity} of points of the projective line to {z1, z2},
+    infinity encoded as p and z1 < z2: xi = z1/(z1 - z2) and eta = 1/z1,
+    which is xi = 0 when z2 is infinity. When z1 is 0 the points swap
+    roles: xi = 1 and eta = 1/z2."""
+    z1, z2 = min(z1, z2), max(z1, z2)
+    if z1 == 0:
+        return INF if z2 == p else (1, pow(z2, -1, p))
+    if z2 == p:
+        return (0, pow(z1, -1, p))
+    return _char_class(z1 * pow(z1 - z2, -1, p), pow(z1, -1, p), p)
 
 
 @dataclass(frozen=True)
@@ -453,24 +399,28 @@ def _suborbit_names(p):
 
 
 def dihedral_model(p):
+    """PSL(2,p) on the cosets of its dihedral subgroup of order p - 1,
+    the point of a coset being its pair of points of the projective line,
+    numbered in sorted order of their character labels, INF first."""
     if p % 4 != 1 or p < 13 or not is_prime(p):
         raise ValueError("need a prime p = 1 (mod 4), p >= 13")
-    labels = [INF] + sorted(
-        {_char_class(xi, eta, p) for xi in range(p) for eta in range(1, p)})
+    pair_of = {_pair_label(z1, z2, p): (z1, z2)
+               for z1, z2 in combinations(range(p + 1), 2)}
+    labels = sorted(pair_of, key=lambda lab: (lab != INF, lab))
     assert len(labels) == p * (p + 1) // 2
     index = {lab: i for i, lab in enumerate(labels)}
-    reps = [_char_rep(lab, p) for lab in labels]
+    pairs = [pair_of[lab] for lab in labels]
 
     def perm_of(m):
-        return tuple(index[_char(psl2_mul(r, m, p), p)] for r in reps)
+        move = _moebius(m, p)
+        return tuple(index[_pair_label(move[z1], move[z2], p)]
+                     for z1, z2 in pairs)
 
     g0 = min(primitive_roots(p))
-    t = psl2_canon((1, 1, 0, 1), p)
-    s = psl2_canon((0, -1, 1, 0), p)
-    diag = psl2_canon((g0, 0, 0, pow(g0, -1, p)), p)
-    rho = perm_of(t)
+    s = (0, -1, 1, 0)
+    rho = perm_of((1, 1, 0, 1))
     space = action_space(len(labels), 0, (rho, perm_of(s)),
-                         (perm_of(diag), perm_of(s)), labels=tuple(labels))
+                         (perm_of((g0, 0, 0, pow(g0, -1, p))), perm_of(s)))
     names = {}
     by_points = {s_.points: s_.index for s_ in space.suborbits}
     for name, pts in _suborbit_names(p).items():

@@ -110,10 +110,7 @@ def _descriptor(args, parser):
     if fam == "gp":
         return Descriptor("gp", (need("n", args.n), need("k", args.k)))
     if fam == "triple":
-        size = need("size", args.size)
-        if size not in (4, 12, 18):
-            parser.error("--size must be 4, 12 or 18")
-        return Descriptor("triple", (size,))
+        return Descriptor("triple", (need("size", args.size),))
     if fam == "dihedral":
         return Descriptor("dihedral", (need("p", args.p),
                                        need("suborbit", args.suborbit)))

@@ -4,8 +4,10 @@ verifiable certificates, valency arithmetic for the two
 sporadic actions, and a survey driver."""
 
 import hashlib
+import io
 import time
 from bisect import bisect_right
+from csv import writer as csv_writer
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -197,8 +199,12 @@ def build_instance(desc):
         return g, (rho if is_prime(n) else None)
     if fam == "triple":
         sp = _triple_space()
-        sub = next(s for s in sp.suborbits if s.size == params[0])
-        g = orbital_graph(sp, (sub.index,))
+        sizes = {s.size: s.index for s in sp.suborbits
+                 if s.points != (sp.base,)}
+        if params[0] not in sizes:
+            raise ValueError("no suborbit of size %r; have %s"
+                             % (params[0], sorted(sizes)))
+        g = orbital_graph(sp, (sizes[params[0]],))
         rho = list(sp.gens[1])  # the 7-cycle acts (5,7)-semiregularly
         return g, rho
     if fam == "dihedral":
@@ -403,11 +409,13 @@ def survey(max_order, budget=10 ** 7):
 
 def format_survey(rows, csv=False):
     if csv:
-        lines = ["descriptor,order,valency,status,strategy,seconds"]
-        lines += ["%s,%d,%d,%s,%s,%.3f" % (r.descriptor, r.order, r.valency,
-                                           r.status, r.strategy, r.seconds)
-                  for r in rows]
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv_writer(out, lineterminator="\n")
+        writer.writerow(["descriptor", "order", "valency", "status",
+                         "strategy", "seconds"])
+        writer.writerows([r.descriptor, r.order, r.valency, r.status,
+                          r.strategy, "%.3f" % r.seconds] for r in rows)
+        return out.getvalue()
     w = max(len(r.descriptor) for r in rows) if rows else 10
     lines = ["%-*s  %5s  %7s  %-12s  %-17s  %7s"
              % (w, "descriptor", "order", "valency", "status", "strategy",

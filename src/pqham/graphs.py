@@ -89,38 +89,51 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count)
 
 
-def orbit_graph(gens, base, row):
-    """The graph whose neighbourhood of base is row and which the group
-    generated by the permutations gens preserves: row is carried along a
-    spanning tree of generator moves, N(g[u]) = g(N(u)), and the result
-    is proven. ValueError when a generator is not a permutation of
-    range(n), row holds base or a point outside range(n), the generators
-    do not act transitively, or one of the two proofs fails. The graph
-    records gens as proven automorphisms."""
+def transversal(gens, base):
+    """(order, tree) for the permutations gens of range(n): order lists the
+    points breadth-first from base, and tree[w] = (i, u), with gens[i][u]
+    = w and u earlier in order, for every point w but base, whose entry is
+    None. ValueError when a generator is not a permutation of range(n),
+    base is not in it, or the generators do not act transitively."""
     n = len(gens[0])
     points = set(range(n))
     for perm in gens:
         if len(perm) != n or set(perm) != points:
             raise ValueError("a generator is not a permutation of "
                              "range(%d)" % n)
+    if base not in points:
+        raise ValueError("the base point is not in range(%d)" % n)
+    tree = {base: None}
+    order = [base]
+    for u in order:
+        for gi, perm in enumerate(gens):
+            w = perm[u]
+            if w not in tree:
+                tree[w] = (gi, u)
+                order.append(w)
+    if len(order) != n:
+        raise ValueError("generators do not act transitively")
+    return order, tree
+
+
+def orbit_graph(gens, base, row):
+    """The graph whose neighbourhood of base is row and which the group
+    generated by the permutations gens preserves: row is carried along
+    the transversal's tree of generator moves, N(g[u]) = g(N(u)), and the
+    result is proven. ValueError when transversal rejects gens and base,
+    row holds base or a point outside range(n), or one of the two proofs
+    fails. The graph records gens as proven automorphisms."""
+    order, tree = transversal(gens, base)
+    n = len(order)
     row = sorted(set(row))
-    if base not in points or base in row or not points.issuperset(row):
-        raise ValueError("need a base point and a row of other points, "
+    if base in row or not set(range(n)).issuperset(row):
+        raise ValueError("need a row of points other than the base point, "
                          "all in range(%d)" % n)
     rows = [None] * n
     rows[base] = row
-    tree = [None] * n
-    stack = [base]
-    while stack:
-        u = stack.pop()
-        for gi, perm in enumerate(gens):
-            w = perm[u]
-            if rows[w] is None:
-                rows[w] = [perm[x] for x in rows[u]]
-                tree[w] = (gi, u)
-                stack.append(w)
-    if None in rows:
-        raise ValueError("generators do not act transitively")
+    for w in order[1:]:
+        gi, u = tree[w]
+        rows[w] = [gens[gi][x] for x in rows[u]]
     for r in rows:
         r.sort()
     g = Graph._from_rows(rows, gens)

@@ -57,7 +57,7 @@ def enumerate_psl2_coset_space(p, subgroup, sub_gens):
         return tuple(assign[psl2_mul(reps[u], g, p)] for u in range(n))
 
     return action_space(n, 0, (perm_of(t), perm_of(s)),
-                        tuple(perm_of(h) for h in sub_gens), labels=reps)
+                        tuple(perm_of(h) for h in sub_gens))
 
 
 def _pm(p, *vals):

@@ -45,7 +45,7 @@ from pqham.graphs import (
     hamilton_cycle,
     hamilton_path,
 )
-from pqham.quotients import permutation_orbits, verify_semiregular
+from pqham.quotients import verify_semiregular
 from pqham.residues import exceptional_table, exceptional_xi, quartic_exceptions
 from reference_actions import (
     EDGE_TABLE_61_FIXUPS,

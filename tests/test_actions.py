@@ -162,7 +162,6 @@ def test_psl2_coset_space_matches_full_enumeration(monkeypatch, case, k):
     sp, searches = keyed_space(monkeypatch, case[0], sub, gens)
     assert searches[-1] == (k, sp.n)
     assert_same_action(sp, enumerate_psl2_coset_space(case[0], sub, gens))
-    assert sp.labels is None
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -243,9 +242,28 @@ def test_alternating_triple_space():
     dis = next(s for s in sp.suborbits if s.size == 4)
     g = orbital_graph(sp, (dis.index,))
     kneser = Graph(35, [(i, j) for (i, a), (j, b)
-                        in combinations(list(enumerate(sp.labels)), 2)
+                        in combinations(enumerate(combinations(range(7), 3)),
+                                        2)
                         if not set(a) & set(b)])
     assert g == kneser
+
+
+def test_triple_stabilizer_has_order_72():
+    # the stabilizer of {0, 1, 2} in A7 is (S3 x S4) cut down to even
+    # permutations; A7 acts faithfully on triples, so the four generators
+    # generate a group of that order on the 35 points too
+    sp = alternating_triple_space()
+    assert all(g[sp.base] == sp.base for g in sp.stab_gens)
+    group = {tuple(range(sp.n))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for g in sp.stab_gens:
+            y = tuple(g[v] for v in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    assert len(group) == 6 * 24 // 2
 
 
 def test_orbital_graph_rejects_half_of_paired_union():
@@ -354,7 +372,7 @@ def test_action_space_rejects_non_permutations():
 
 def test_dihedral_model_smallest():
     m = dihedral_model(13)
-    assert len(m.space.labels) == 91
+    assert m.space.n == 91
     info = {name: (m.space.suborbits[i].size, m.space.suborbits[i].self_paired)
             for name, i in m.names.items()}
     twelves = [n for n, (sz, sp_) in info.items() if sz == 12]
@@ -367,6 +385,20 @@ def test_dihedral_model_smallest():
     assert info[("half", -1)] == (3, False)
     rows = sorted(r for r, _, _ in dihedral_row_unions(m))
     assert rows == [1, 1, 1, 2, 3, 4, 5, 8, 9]
+
+
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_pair_labels_are_a_bijection(p):
+    # each unordered pair of points of the projective line, in either
+    # order, has a label of its own, and each of the p(p+1)/2 labels of
+    # the character model is some pair's
+    pairs = list(combinations(range(p + 1), 2))
+    got = [actions._pair_label(z1, z2, p) for z1, z2 in pairs]
+    assert got == [actions._pair_label(z2, z1, p) for z1, z2 in pairs]
+    labels = {INF} | {actions._char_class(xi, eta, p)
+                      for xi in range(p) for eta in range(1, p)}
+    assert len(set(got)) == len(got) == p * (p + 1) // 2
+    assert set(got) == labels
 
 
 def test_dihedral_matrix_cosets_match_character_model():

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from pqham import cli, engine
@@ -99,6 +102,16 @@ def test_survey_csv(capsys):
     assert any(",hamiltonian," in l for l in lines)
 
 
+def test_survey_csv_rows_parse_to_six_fields(capsys):
+    # descriptors such as dihedral(13,S2) hold commas of their own
+    code, out = run(capsys, "survey", "--max-order", "255", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + len(engine.survey_descriptors(255))
+    assert {len(row) for row in rows} == {6}
+    assert ["dihedral(13,S2)", "91"] in [row[:2] for row in rows]
+
+
 def test_tables_deterministic(capsys):
     code, out1 = run(capsys, "tables", "--qm-cap", "11")
     code2, out2 = run(capsys, "tables", "--qm-cap", "11")
@@ -186,6 +199,16 @@ def test_bad_parameters_exit_2_one_line(capsys):
         assert e.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
+
+
+def test_triple_size_without_a_suborbit_exits_2_one_line(capsys):
+    for command in ("construct", "quotient", "hamilton"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--family", "triple", "--size", "5"])
+        assert e.value.code == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, command
+        assert "have [4, 12, 18]" in captured.err, command
 
 
 def test_hamilton_builds_the_instance_once(capsys, monkeypatch):

@@ -43,6 +43,12 @@ def test_build_instance_families():
         build_instance(Descriptor("nosuch", ()))
 
 
+def test_build_instance_rejects_a_triple_size_without_a_suborbit():
+    for size in (1, 5):
+        with pytest.raises(ValueError, match=r"have \[4, 12, 18\]"):
+            build_instance(Descriptor("triple", (size,)))
+
+
 def test_dihedral_labels_13():
     from pqham.actions import dihedral_model
     labels = dihedral_union_labels(dihedral_model(13))

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pqham import field
 from pqham.field import (
     NONSQUARE,
     SQUARE,

@@ -1,12 +1,12 @@
 """Byte-identity of the program's proofs: a change that alters any
-survey certificate, `pqham quotient` output or quadric model must update
-these digests on purpose and say why."""
+survey certificate, `pqham quotient` output, quadric model or dihedral
+model must update these digests on purpose and say why."""
 
 import hashlib
 
 import pytest
 
-from pqham.actions import omega_model
+from pqham.actions import dihedral_model, omega_model
 from pqham.cli import main
 from pqham.engine import (
     NotHamiltonianException,
@@ -83,3 +83,16 @@ def test_omega_model_pinned(q, expected):
     assert digest(repr((m.theta, m.points, m.base, sorted(m.suborbits.items()),
                         m.blocks, m.inner_blocks, m.outer_blocks, m.rho,
                         m.norm_gens, m.gens))) == expected
+
+
+@pytest.mark.parametrize("p, expected", [
+    (13, "fa6bb2bd39b83654"),
+    (17, "e98c93064d8aca8e"),
+    (29, "c4d0567cb927e25d"),
+])
+def test_dihedral_model_pinned(p, expected):
+    m = dihedral_model(p)
+    sp = m.space
+    assert digest(repr((sp.gens, sp.stab_gens, sp.suborbits,
+                        sorted(m.names.items()), m.rho,
+                        sorted(m.orbits.items(), key=str)))) == expected

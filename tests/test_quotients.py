@@ -11,7 +11,6 @@ from pqham.graphs import (
     verify_hamilton_cycle,
 )
 from pqham.quotients import (
-    LiftOutcome,
     Symbol,
     format_symbol,
     is_automorphism,

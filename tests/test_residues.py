@@ -6,9 +6,8 @@ from math import prod
 
 import pytest
 
-from pqham.field import is_prime, prime_factors
+from pqham.field import is_prime
 from pqham.residues import (
-    BoundRecord,
     _check_sequence,
     _is_exceptional,
     _k_of,
