@@ -382,7 +382,7 @@ def _suborbit_names(p):
                          if e not in sq}
     seen = set()
     for xi in range(2, p):
-        if xi in (0, 1) or xi in seen:
+        if xi in seen:
             continue
         seen.update({xi, (1 - xi) % p})
         pts = lambda cls: {_char_class(xi, e, p) for e in range(1, p)
@@ -560,11 +560,9 @@ def dihedral_row_data(model, row, xi=None):
     return RowData(row, d_inf, d_inf_x, d_in, d_cross)
 
 
-def empirical_row_data(model, row, union, quot=None):
+def empirical_row_data(model, row, union):
     """The same quotient data read off the constructed orbital graph."""
-    if quot is None:
-        g = orbital_graph(model.space, union)
-        quot = quotient(g, list(model.rho))
+    quot = quotient(orbital_graph(model.space, union), list(model.rho))
     block_of = {}
     for x, orbit in model.orbits.items():
         for v in orbit:

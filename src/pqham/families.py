@@ -5,57 +5,37 @@ order p*q: metacirculants and the projective-line graphs over GF(2^(2^s))
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import Graph, orbit_graph
+from .graphs import orbit_graph
 
 # fixed irreducible polynomials for GF(2^(2^s)), s = 1, 2, 3
 _IRREDUCIBLE = {4: 0b111, 16: 0b10011, 256: 0b100011011}
 
 
-class GF2k:
-    """GF(2^(2^s)) with elements as bitmask ints, plus discrete logs to
-    the smallest-integer generator w."""
+def _gf_powers(size):
+    """[1, w, w^2, ..., w^(size-2)] in GF(size), size 4, 16 or 256, with
+    elements as bitmask ints and w the smallest-integer generator of the
+    multiplicative group."""
+    if size not in _IRREDUCIBLE:
+        raise ValueError("field size %d not supported" % size)
 
-    def __init__(self, size):
-        if size not in _IRREDUCIBLE:
-            raise ValueError("field size %d not supported" % size)
-        self.size = size
-        self.poly = _IRREDUCIBLE[size]
-        self.bits = size.bit_length() - 1
-
-    def mul(self, a, b):
+    def times(x, a):
         r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.size:
-                a ^= self.poly
+        while a:
+            if a & 1:
+                r ^= x
+            a >>= 1
+            x <<= 1
+            if x & size:
+                x ^= _IRREDUCIBLE[size]
         return r
 
-    def order(self, a):
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    @property
-    def generator(self):
-        for a in range(2, self.size):
-            if self.order(a) == self.size - 1:
-                return a
-        raise AssertionError("no generator found")
-
-    def dlog_table(self):
-        """element -> i with w^i = element, for the fixed generator."""
-        w = self.generator
-        table = {1: 0}
-        x = 1
-        for i in range(1, self.size - 1):
-            x = self.mul(x, w)
-            table[x] = i
-        return table
+    for w in range(2, size):
+        powers = [1]
+        while len(powers) < size - 1:
+            powers.append(times(powers[-1], w))
+        if len(set(powers)) == size - 1:
+            return powers
+    raise AssertionError("no generator found")
 
 
 @dataclass(frozen=True)
@@ -145,51 +125,38 @@ class FermatSpec:
 
 def fermat_graph(spec):
     """Graph on p*q vertices over PG(1, p-1) x Z_q: point v encoded as
-    its field bitmask (infinity as p-1), vertex v*q + r. Returns
-    (graph, rho) with rho the (p,q)-semiregular automorphism."""
+    its field bitmask (infinity as p-1), vertex v*q + r, logs taken to
+    the smallest generator w. (v, r) ~ (v, r+s) for every point v and s
+    in S; for t in T, (inf, r) ~ (v, r+t) and (v, a) ~ (v + w^i, b) when
+    a + b = t + 2i. Returns (graph, rho) with rho the (p,q)-semiregular
+    automorphism sigma^((p-2)/q).
+
+    The graph is the one carried from the row of (inf, 0) by sigma:
+    (v, r) -> (v*w, r+1), tau: (v, r) -> (v+1, r) and phi: (v, r) ->
+    (1/v, r - 2 log v), (0, r) <-> (inf, -r). On the line these are
+    x -> wx, x+1 and 1/x, which generate PSL(2, p-1), so the action is
+    transitive; orbit_graph proves them and rho automorphisms."""
     p, q = spec.p, spec.q
-    S, T = spec.s_set, spec.t_set
-    f = GF2k(p - 1)
-    dlog = f.dlog_table()
-    INF = p - 1
+    powers = _gf_powers(p - 1)
+    log = {x: i for i, x in enumerate(powers)}
+    INF, N = p - 1, p - 2  # N is the order of w
     vid = lambda v, r: v * q + r % q
-    edges = set()
 
-    def add(u, v):
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
+    def perm(move):
+        return [vid(*move(v, r)) for v in range(p) for r in range(q)]
 
-    for r in range(q):
-        for s in S:
-            add(vid(INF, r), vid(INF, r + s))
-        for v in range(p - 1):
-            for s in S:
-                add(vid(v, r), vid(v, r + s))
-            for t in T:
-                add(vid(INF, r), vid(v, r + t))
-    for v in range(p - 1):
-        for d in range(1, p - 1):
-            i = dlog[d]
-            vv = v ^ d
-            for t in T:
-                # (v, a) ~ (v + w^i, b) iff a + b = t + 2i (mod q)
-                for a in range(q):
-                    add(vid(v, a), vid(vv, (t + 2 * i - a) % q))
-    g = Graph(p * q, sorted(edges))
-    # the shift (v, r) -> (v*w, r+1) composed (p-2)/q times is
-    # (p,q)-semiregular
-    w = f.generator
-    shift = [0] * (p * q)
-    for v in range(p - 1):
-        for r in range(q):
-            shift[vid(v, r)] = vid(f.mul(v, w) if v else 0, r + 1)
-    for r in range(q):
-        shift[vid(INF, r)] = vid(INF, r + 1)
-    c = (p - 2) // q
-    rho = list(range(p * q))
-    for _ in range(c):
-        rho = [shift[x] for x in rho]
-    return g, rho
+    def scale(k):
+        # (v, r) -> (v * w^k, r + k)
+        return perm(lambda v, r: (v if v in (0, INF)
+                                  else powers[(log[v] + k) % N], r + k))
+
+    tau = perm(lambda v, r: (v if v == INF else v ^ 1, r))
+    phi = perm(lambda v, r: (INF, -r) if v == 0 else (0, -r) if v == INF
+               else (powers[-log[v] % N], r - 2 * log[v]))
+    rho = scale(N // q)
+    row = [vid(INF, s) for s in spec.s_set] + \
+        [vid(v, t) for v in range(INF) for t in spec.t_set]
+    return orbit_graph((scale(1), tau, phi, rho), vid(INF, 0), row), rho
 
 
 def parse_family_spec(text):

@@ -158,9 +158,7 @@ def orbit_graph(gens, base, row):
 
 def verify_hamilton_cycle(g, cycle):
     """True iff cycle is a Hamilton cycle of g."""
-    if cycle is None or len(cycle) != g.n or len(set(cycle)) != g.n:
-        return False
-    if g.n < 3:
+    if cycle is None or g.n < 3 or sorted(cycle) != list(range(g.n)):
         return False
     return all(g.has_edge(cycle[i], cycle[(i + 1) % g.n])
                for i in range(g.n))
@@ -405,8 +403,8 @@ def format_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-def format_dot(g, name="g"):
-    lines = ["graph %s {" % name]
+def format_dot(g):
+    lines = ["graph g {"]
     lines += ["  %d -- %d;" % e for e in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -80,8 +80,8 @@ def alpha1_holds(s, t_primes, radical):
     return eq_k_holds(s, t_primes, radical + 1)
 
 
-def corollary1_holds(s, t, p, r=4):
-    """2*phi(t)/t > 1 + (rs-2)sqrt(p)/(p-1) + (rs+2)/(p-1) for a valid
+def corollary1_holds(s, t, p):
+    """2*phi(t)/t > 1 + (4s-2)sqrt(p)/(p-1) + (4s+2)/(p-1) for a valid
     coprime split s,t of the prime support of p-1."""
     if gcd(s, t) != 1:
         raise ValueError("s and t must be coprime")
@@ -90,7 +90,7 @@ def corollary1_holds(s, t, p, r=4):
     tp = prime_factors(t) if t > 1 else []
     a = 2 * prod(q - 1 for q in tp)
     b = prod(tp)
-    return _ineq_holds(a, b, r * s - 2, r * s + 2, p)
+    return _ineq_holds(a, b, 4 * s - 2, 4 * s + 2, p)
 
 
 def find_split(p):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from pqham import engine
+from pqham import engine, quotients
 from pqham.engine import (
     Certificate,
     Descriptor,
@@ -71,6 +71,16 @@ def test_prove_and_verify():
                       cert.strategy, cert.trace)
     assert not verify(g, bad)
     assert not verify(gp(7, 3), cert)
+
+
+def test_verify_rejects_an_out_of_range_vertex():
+    desc = Descriptor("gp", (7, 2))
+    cert = prove(desc)
+    g, _ = build_instance(desc)
+    for cyc in ((14,) + cert.cycle[1:], cert.cycle[:-1] + (14,)):
+        bad = Certificate(cert.order, cert.valency, cert.fingerprint, cyc,
+                          cert.strategy, cert.trace)
+        assert not verify(g, bad)
 
 
 def test_certificate_round_trip():
@@ -160,6 +170,20 @@ def test_row12_valency_check():
         row12_valency_check(2, valency=7)
     with pytest.raises(ValueError):
         row12_valency_check(3)
+
+
+def test_survey_proofs_do_not_reprove_rho(monkeypatch):
+    # every survey family but gp builds its graph with orbit_graph, which
+    # records rho as proven, so quotient never checks it again
+    def reproved(g, perm):
+        raise AssertionError("quotient re-proved an automorphism")
+
+    monkeypatch.setattr(quotients, "is_automorphism", reproved)
+    for desc in survey_descriptors(255):
+        try:
+            prove(desc)
+        except NotHamiltonianException:
+            assert desc == PETERSEN
 
 
 def test_survey_descriptors_growth():

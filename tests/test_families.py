@@ -5,8 +5,8 @@ import pytest
 
 from pqham.families import (
     FermatSpec,
-    GF2k,
     MetacirculantSpec,
+    _gf_powers,
     fermat_graph,
     metacirculant,
     parse_family_spec,
@@ -19,7 +19,10 @@ from pqham.quotients import (
     verify_semiregular,
 )
 from reference_families import (
+    edge_rule_fermat,
     edge_rule_metacirculant,
+    fermat_shift_power,
+    fermat_specs,
     random_metacirculant_spec,
 )
 from reference_graphs import find_isomorphism, is_isomorphic
@@ -40,18 +43,15 @@ PET_SPEC = MetacirculantSpec(2, 5, 2, (frozenset({1, 4}), frozenset({0})))
 
 
 def test_gf2k_arithmetic():
-    f4 = GF2k(4)
-    assert f4.mul(2, 2) == 3  # x*x = x+1
-    assert f4.generator == 2
-    f16 = GF2k(16)
-    assert f16.mul(2, 8) == 3  # x*x^3 = x^4 = x+1
-    assert f16.generator == 2
-    assert sorted(f16.dlog_table()) == list(range(1, 16))
-    f256 = GF2k(256)
-    assert f256.generator == 3  # x is not primitive mod x^8+x^4+x^3+x+1
-    assert len(f256.dlog_table()) == 255
+    assert _gf_powers(4) == [1, 2, 3]  # x*x = x+1
+    p16 = _gf_powers(16)
+    assert p16[1] == 2 and p16[4] == 3  # x^4 = x+1
+    assert sorted(p16) == list(range(1, 16))
+    p256 = _gf_powers(256)
+    assert p256[1] == 3  # x is not primitive mod x^8+x^4+x^3+x+1
+    assert len(set(p256)) == 255
     with pytest.raises(ValueError):
-        GF2k(8)
+        _gf_powers(8)
 
 
 def test_metacirculant_petersen():
@@ -148,6 +148,17 @@ def test_fermat_vertex_transitive_small():
         base = (p - 1) * q  # (infinity, 0)
         for target in [0] + [q + r for r in range(q)]:
             assert find_isomorphism(g, g, seed={base: target}) is not None
+
+
+def test_fermat_equals_edge_rule():
+    specs = fermat_specs(5, 3) + fermat_specs(17, 3) + fermat_specs(17, 5)
+    assert len(specs) == 4 + 4 + 56
+    specs.append(FermatSpec(257, 3, frozenset({1, 2}), frozenset({2})))
+    for spec in specs:
+        g, rho = fermat_graph(spec)
+        assert g == edge_rule_fermat(spec), spec
+        assert rho == fermat_shift_power(spec), spec
+        assert tuple(rho) in g._automorphisms
 
 
 def test_fermat_validation():

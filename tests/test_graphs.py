@@ -91,6 +91,13 @@ def test_hamilton_cycle_examples():
     assert hamilton_cycle(PETERSEN) is None
 
 
+def test_verify_hamilton_cycle_rejects_out_of_range_vertices():
+    triangle = complete_graph(3)
+    assert verify_hamilton_cycle(triangle, [2, 0, 1])
+    for cyc in ([5, 0, 1], [0, 1, 5], [0, 1, -1], [0, 1], [0, 1, 1]):
+        assert not verify_hamilton_cycle(triangle, cyc)
+
+
 def test_hamilton_cycle_edge_cases():
     assert hamilton_cycle(Graph(2, [(0, 1)])) is None
     assert hamilton_cycle(Graph(4, [(0, 1), (2, 3)])) is None  # disconnected

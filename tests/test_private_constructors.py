@@ -1,9 +1,10 @@
 """Graph._from_rows checks nothing, so only a builder that proves its
 rows sorted, symmetric and loop-free may use it. That is
-graphs.orbit_graph, which the orbital, quadric and metacirculant graph
-builders call. The automorphisms a graph records in _automorphisms skip
-the check in quotients.quotient, so they too are set only in graphs.py,
-by _from_rows for the generators orbit_graph has proven."""
+graphs.orbit_graph, which the orbital, quadric, metacirculant and Fermat
+graph builders call; families.py and actions.py build no graph any
+other way. The automorphisms a graph records in _automorphisms skip the
+check in quotients.quotient, so they too are set only in graphs.py, by
+_from_rows for the generators orbit_graph has proven."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,14 @@ def test_from_rows_used_only_by_graphs():
     found = {path.name for path in src.glob("*.py")
              if uses_of(ast.parse(path.read_text()), "_from_rows")}
     assert found == ALLOWED
+
+
+def test_families_and_actions_never_name_graph():
+    # their graphs come only from orbit_graph, which proves what it builds
+    src = Path(pqham.__file__).parent
+    for name in ("families.py", "actions.py"):
+        assert uses_of(ast.parse((src / name).read_text()), "Graph") == [], \
+            name
 
 
 def stores_of(tree, name):
