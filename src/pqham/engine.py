@@ -114,9 +114,17 @@ def parse_certificate(text):
     missing = [k for k in fields if k not in kv]
     if missing:
         raise ValueError("certificate lacks %s" % ", ".join(missing))
-    return Certificate(int(kv["order"]), int(kv["valency"]),
-                       kv["fingerprint"],
-                       tuple(int(x) for x in kv["cycle"].split(",")),
+
+    def integer(key, text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError("certificate %s holds %r, not an integer"
+                             % (key, text)) from None
+    return Certificate(integer("order", kv["order"]),
+                       integer("valency", kv["valency"]), kv["fingerprint"],
+                       tuple(integer("cycle", x)
+                             for x in kv["cycle"].split(",")),
                        kv["strategy"], tuple(trace))
 
 
@@ -245,10 +253,11 @@ def _quotient_lift(g, q, trace):
     if m == 1:
         # circulant on a prime number of vertices: one voltage suffices
         orb = q.orbits[0]
-        t = next(i for i in range(1, n) if g.has_edge(orb[0], orb[i]))
-        cyc = [orb[(t * i) % n] for i in range(n)]
-        trace.append("voltage=%d" % t)
-        return cyc
+        for t in range(1, n):
+            if g.has_edge(orb[0], orb[t]):
+                trace.append("voltage=%d" % t)
+                return [orb[(t * i) % n] for i in range(n)]
+        return None  # no edges: the graph is disconnected
     doubles = sorted((a, b) for a in range(m) for b in range(a + 1, m)
                      if q.d(a, b) >= 2)
     for a, b in doubles:
@@ -278,8 +287,6 @@ def prove(desc, budget=10 ** 7):
     cycle when the instance's automorphism is semiregular and one lifts
     fully, else the budgeted direct search's."""
     g, rho = build_instance(desc)
-    if not g.is_connected():
-        raise ProofFailure("%s is disconnected" % desc, g)
     trace = ["descriptor=%s" % desc]
     cycle, strategy, q = None, None, None
     if rho is not None:
@@ -291,6 +298,9 @@ def prove(desc, budget=10 ** 7):
         cycle = _quotient_lift(g, q, trace)
         strategy = "quotient-lift"
     if cycle is None:
+        # a verified lifted cycle proves g connected; the search needs it
+        if not g.is_connected():
+            raise ProofFailure("%s is disconnected" % desc, g)
         try:
             cycle = hamilton_cycle(g, budget=budget)
         except BudgetExceeded:

@@ -87,22 +87,16 @@ def corollary1_holds(s, t, p):
         raise ValueError("s and t must be coprime")
     if set(prime_factors(s * t)) != set(prime_factors(p - 1)):
         raise ValueError("prime support of s*t must equal that of p-1")
-    tp = prime_factors(t) if t > 1 else []
-    a = 2 * prod(q - 1 for q in tp)
-    b = prod(tp)
-    return _ineq_holds(a, b, 4 * s - 2, 4 * s + 2, p)
+    return eq_k_holds(s, prime_factors(t), p)
 
 
 def find_split(p):
     """A split s = q_1...q_n, t = q_{n+1}...q_m of the prime support of
     p-1 satisfying corollary1_holds, or None."""
     seq = prime_factors(p - 1)
-    m = len(seq)
-    for n in range(m + 1):
-        s = prod(seq[:n])
-        t = prod(seq[n:])
-        if corollary1_holds(s, t, p):
-            return s, t
+    for n in range(len(seq) + 1):
+        if eq_k_holds(prod(seq[:n]), seq[n:], p):
+            return prod(seq[:n]), prod(seq[n:])
     return None
 
 
@@ -110,16 +104,11 @@ def bound_for_split(s, t_primes, ceiling=SEARCH_CEILING):
     """Smallest integer k such that the threshold inequality holds for
     every integer x >= k (None if it still fails at the ceiling, or if
     it can never hold)."""
-    a = 2 * prod(q - 1 for q in t_primes)
-    b = prod(t_primes)
-    if a <= b:  # left side at most 1: can never hold
-        return None
     if not eq_k_holds(s, t_primes, ceiling):
         return None
-    lo, hi = 2, ceiling  # invariant: holds at hi
-    if eq_k_holds(s, t_primes, lo):
-        return lo
-    # largest failing x is in [lo, hi)
+    # invariant: fails at lo (at x = 1 the right side is infinite) and
+    # holds at hi, so the largest failing x is in [lo, hi)
+    lo, hi = 1, ceiling
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if eq_k_holds(s, t_primes, mid):
@@ -163,44 +152,56 @@ def is_exceptional(seq):
 
 
 def _is_exceptional(seq):
-    radical = prod(seq)
-    m = len(seq)
-    return not any(
-        alpha1_holds(prod(seq[:n]), seq[n:], radical) for n in range(m + 1)
-    )
+    # the split with t empty never holds, so start from t = (q_m,) and move
+    # the split point down, growing 2phi(t) as a and t as b
+    x = prod(seq) + 1
+    s, a, b = x - 1, 2, 1
+    for q in reversed(seq):
+        s //= q
+        a *= q - 1
+        b *= q
+        if _ineq_holds(a, b, 4 * s - 2, 4 * s + 2, x):
+            return False
+    return True
 
 
-def shape_candidates(qm_cap=131):
-    """All strictly increasing prime sequences starting at 2 with
-    q_m < qm_cap that satisfy m <= 2k(m)+1: the threshold index
-    analysis caps the shapes at m<=5 (any tail), m<=7 starting 2,3 or
-    2,5, and m=9 starting 2,3,5."""
+def _exceptional_sequences(qm_cap):
+    """The exceptional sequences with q_m < qm_cap, sorted, among the
+    strictly increasing prime sequences starting at 2 that satisfy
+    m <= 2k(m)+1: the threshold index analysis caps the shapes at m<=5
+    (any tail), m<=7 starting 2,3 or 2,5, and m=9 starting 2,3,5."""
     pool = [q for q in range(3, qm_cap) if is_prime(q)]
-    seen = set()
+    found = []
 
     def extend(seq, rest, i, m):
-        # False when the smallest completion seq + rest[i:...] fails
-        # m <= 2k(m)+1: raising any q_j raises every d(j,m) and so can only
-        # lower k(m), so every larger choice at this position fails too
+        # False when no larger last prime of seq can give a row: when the
+        # smallest completion seq + rest[i:...] fails m <= 2k(m)+1, since
+        # raising any q_j raises every d(j,m) and so can only lower k(m);
+        # and when a complete seq is not exceptional, since its split has
+        # q_m in t (t empty never holds), a larger q_m raises 2phi(t)/t and
+        # x = radical+1, both right-hand terms fall in x, and it still holds
         low = seq + tuple(rest[i:i + m - len(seq)])
         if len(low) < m or m > 2 * _k_of(low) + 1:
             return False
-        if len(seq) == m:
-            seen.add(seq)
-        else:
+        if len(seq) < m:
             for j in range(i, len(rest)):
                 if not extend(seq + (rest[j],), rest, j + 1, m):
                     break
+        elif _is_exceptional(seq):
+            found.append(seq)
+        else:
+            return False
         return True
 
-    for start, lengths in (((2,), range(5)), ((2, 3), range(6)),
-                           ((2, 5), range(6)), ((2, 3, 5), (6,))):
+    # each shape once: the (2,) family already holds every length <= 5
+    for start, lengths in (((2,), range(1, 6)), ((2, 3), (6, 7)),
+                           ((2, 5), (6, 7)), ((2, 3, 5), (9,))):
         if start[-1] >= qm_cap:
             continue
         rest = [q for q in pool if q > start[-1]]
-        for r in lengths:
-            extend(start, rest, 0, len(start) + r)
-    return sorted(seen)
+        for m in lengths:
+            extend(start, rest, 0, m)
+    return sorted(found)
 
 
 def _primes_with_radical(seq, bound):
@@ -228,21 +229,9 @@ def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
     split, and qualifying prime lists; sorted by sequence. Raises
     ValueError when the ceiling is too low to bound some sequence."""
     records = []
-    # dead[n]: the last length-n prefix seen with a non-exceptional
-    # candidate; candidates sharing a prefix are contiguous in sorted
-    # order, so one prefix per length remembers every live one
-    dead = {}
-    # candidates are strictly increasing primes from 2 by construction,
-    # so the unchecked form of is_exceptional suffices
-    for seq in shape_candidates(qm_cap):
-        if dead.get(len(seq) - 1) == seq[:-1]:
-            continue
-        # the split with t empty never holds, so a non-exceptional seq has
-        # q_m in t; a larger q_m raises 2phi(t)/t and x = radical+1, both
-        # right-hand terms fall in x, and that split still holds
-        if not _is_exceptional(seq):
-            dead[len(seq) - 1] = seq[:-1]
-            continue
+    # every sequence is found before any bound is computed, and the bounds
+    # go in sorted order, so a low ceiling names the first sequence it fails
+    for seq in _exceptional_sequences(qm_cap):
         m = len(seq)
         best = None  # (k, -n) so ties prefer the shorter t
         for n in range(m + 1):

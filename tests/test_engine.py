@@ -22,7 +22,7 @@ from pqham.engine import (
 )
 from pqham.actions import orbital_graph, psl2_coset_space, psl2_subgroup_scan
 from pqham.families import MetacirculantSpec
-from pqham.graphs import gp
+from pqham.graphs import Graph, gp
 
 
 PETERSEN = Descriptor(
@@ -137,6 +137,31 @@ def test_prove_outcomes_off_the_survey():
     # GP(n, 2) has no Hamilton cycle for n = 5 (mod 6)
     with pytest.raises(NotHamiltonianException, match="exhaustive"):
         prove(Descriptor("gp", (11, 2)))
+
+
+@pytest.mark.parametrize("g, rho", [
+    # two 5-cycles turned by rho: two orbits and no edge between them
+    (Graph(10, [(c + i, c + (i + 1) % 5) for c in (0, 5) for i in range(5)]),
+     [c + (i + 1) % 5 for c in (0, 5) for i in range(5)]),
+    # no edges: one orbit, a circulant without a voltage to follow
+    (Graph(5), [1, 2, 3, 4, 0]),
+], ids=["two-5-cycles", "edgeless-c5"])
+def test_disconnected_graphs_fail_after_the_lift(monkeypatch, g, rho):
+    # connectivity is checked only before the direct search, so the lift
+    # must give up cleanly on a disconnected graph first
+    monkeypatch.setattr(engine, "build_instance", lambda desc: (g, rho))
+    with pytest.raises(ProofFailure, match=r"gp\(5,1\) is disconnected") as e:
+        prove(Descriptor("gp", (5, 1)))
+    assert e.value.order == g.n
+
+
+def test_parse_certificate_names_a_field_that_is_not_an_integer():
+    lines = format_certificate(prove(Descriptor("gp", (7, 2)))).splitlines()
+    for key, bad in (("order", "14x"), ("valency", ""), ("cycle", "0,1,a")):
+        text = "\n".join(key + "=" + bad if line.startswith(key + "=")
+                         else line for line in lines)
+        with pytest.raises(ValueError, match="certificate %s holds" % key):
+            parse_certificate(text)
 
 
 def test_fingerprint_distinguishes_graphs():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pqham
 
-# residues is left out: the inner helpers of shape_candidates and
+# residues is left out: the inner helpers of _exceptional_sequences and
 # _primes_with_radical recurse once per prime of a sequence, at most 9
 # deep, a bound set by the sequence length rather than the graph order
 MODULES = ("graphs", "quotients", "actions", "families", "engine")

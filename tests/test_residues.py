@@ -6,9 +6,9 @@ from math import prod
 
 import pytest
 
+from pqham import residues
 from pqham.field import is_prime
 from pqham.residues import (
-    _check_sequence,
     _is_exceptional,
     _k_of,
     alpha1_holds,
@@ -25,7 +25,6 @@ from pqham.residues import (
     primitive_square_witness,
     quartic_exceptions,
     render_table,
-    shape_candidates,
 )
 from reference_tables import (
     EXACT_DIVERGENCES,
@@ -79,19 +78,9 @@ def test_k_of_and_is_exceptional_reject_bad_sequences():
             is_exceptional(bad)
 
 
-def test_shape_candidates_are_valid_sequences_below_cap():
-    # exceptional_table calls the unchecked _k_of and _is_exceptional on
-    # these, so every candidate must pass the public check
-    for cap in range(2, 41):
-        for seq in shape_candidates(cap):
-            assert _check_sequence(seq) == seq and seq[-1] < cap, (cap, seq)
-    assert shape_candidates(2) == []
-    assert shape_candidates(4) == [(2,), (2, 3)]
-
-
 def _reference_shapes(cap):
     # every shape of the four families, unpruned, built independently of
-    # shape_candidates
+    # the table's pruned walk
     pool = [q for q in range(3, cap) if is_prime(q)]
     seen = set()
     for start, lengths in (((2,), range(5)), ((2, 3), range(6)),
@@ -108,12 +97,6 @@ def _reference_shapes(cap):
 def _live_reference_shapes(cap):
     return [seq for seq in _reference_shapes(cap)
             if len(seq) <= 2 * _k_of(seq) + 1]
-
-
-def test_shape_candidates_match_filtered_brute_force():
-    for cap in range(2, 61):
-        assert shape_candidates(cap) == _live_reference_shapes(cap), cap
-    assert len(shape_candidates(131)) == 55209
 
 
 def test_unchecked_k_of_matches_exact_d():
@@ -147,10 +130,32 @@ def test_raising_last_prime_keeps_non_exceptional():
 
 
 def test_exceptional_table_matches_brute_force():
-    for cap in range(3, 41):
-        want = [seq for seq in _live_reference_shapes(cap)
-                if _is_exceptional(seq)]
+    # the walk's two cuts are exact: each cap's rows are the exceptional
+    # live shapes below it; a live shape below cap is one below 61 whose
+    # last prime is below cap
+    live = [seq for seq in _live_reference_shapes(61) if _is_exceptional(seq)]
+    for cap in range(2, 61):
+        want = [seq for seq in live if seq[-1] < cap]
         assert [r.sequence for r in exceptional_table(cap)] == want, cap
+
+
+def test_incremental_is_exceptional_matches_every_split():
+    for seq in _reference_shapes(60):
+        radical = prod(seq)
+        want = not any(alpha1_holds(prod(seq[:n]), seq[n:], radical)
+                       for n in range(len(seq) + 1))
+        assert _is_exceptional(seq) == want, seq
+
+
+def test_table_walk_makes_6815_exceptionality_checks(monkeypatch):
+    # a deterministic count of the work: one check per live shape until
+    # the first non-exceptional last prime after each prefix
+    calls = []
+    check = residues._is_exceptional
+    monkeypatch.setattr(residues, "_is_exceptional",
+                        lambda seq: calls.append(seq) or check(seq))
+    assert len(exceptional_table(131)) == 54
+    assert len(calls) == len(set(calls)) == 6815
 
 
 def test_tail_sequences_dominate_radical_term():
@@ -191,12 +196,6 @@ def test_exact_threshold_brackets():
         assert k == want
         assert eq_k_holds(s, tp, k)
         assert not eq_k_holds(s, tp, k - 1)
-
-
-def test_shape_candidates_contains_known_rows():
-    cands = set(shape_candidates(131))
-    for seq in PUBLISHED_TABLE:
-        assert seq in cands
 
 
 def test_exceptional_table_rejects_low_ceiling():
