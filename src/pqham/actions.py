@@ -602,14 +602,14 @@ def split_edge_table(p):
             good = set()
             for t in tset:
                 x = t * t % p
+                # both roots; the one root of 0 gives the same den as p
                 for r in sqrt_mod(disc(t), p):
-                    for rr in {r, p - r}:
-                        den = (1 + x + rr) % p
-                        if den == 0:
-                            continue
-                        eta = (1 - 2 * pow(den, -1, p)) % p
-                        if eta in sq:
-                            good.add(t)
+                    den = (1 + x + r) % p
+                    if den == 0:
+                        continue
+                    eta = (1 - 2 * pow(den, -1, p)) % p
+                    if eta in sq:
+                        good.add(t)
             row += [tset, frozenset(good)]
         table[xi] = tuple(row)
     return table

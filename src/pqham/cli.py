@@ -8,7 +8,6 @@ flags or parameters, never with a traceback.
 """
 
 import argparse
-import os
 import sys
 
 from .actions import (
@@ -20,6 +19,7 @@ from .actions import (
     suborbit_report,
 )
 from .engine import (
+    DEFAULT_BUDGET,
     Descriptor,
     NotHamiltonianException,
     ProofFailure,
@@ -33,15 +33,7 @@ from .families import MetacirculantSpec, parse_family_spec
 from .field import is_prime
 from .graphs import format_dot, format_edge_list
 from .quotients import format_symbol, quotient
-from .residues import (
-    SEARCH_CEILING,
-    exceptional_table,
-    quartic_exceptions,
-    render_table,
-)
-
-DEFAULT_BUDGET = 10 ** 7
-BUDGET_ENV = "PQHAM_BUDGET"
+from .residues import exceptional_table, quartic_exceptions, render_table
 
 
 def _reject(message):
@@ -50,34 +42,11 @@ def _reject(message):
     raise SystemExit(2)
 
 
-class _EnvBudget(str):
-    """The --budget default. argparse converts a string default only for
-    the subcommand being parsed, so PQHAM_BUDGET is read by hamilton and
-    survey alone."""
-
-
-def _budget(raw):
-    """argparse type of --budget: an integer, or the environment default."""
-    if not isinstance(raw, _EnvBudget):
-        try:
-            return int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % raw)
-    env = os.environ.get(BUDGET_ENV)
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        _reject("%s must be an integer, got %r" % (BUDGET_ENV, env))
-
-
 def _bad_budget(args):
     """Report a budget that allows no search at all; True when reported."""
     if args.budget > 0:
         return False
-    print("the budget (--budget or %s) must be positive, got %d"
-          % (BUDGET_ENV, args.budget), file=sys.stderr)
+    print("--budget must be positive, got %d" % args.budget, file=sys.stderr)
     return True
 
 
@@ -251,12 +220,7 @@ def _cmd_survey(args, parser):
 def _cmd_tables(args, parser):
     if args.qm_cap < 3:
         _reject("--qm-cap must be at least 3, got %d" % args.qm_cap)
-    if args.ceiling < 2:
-        _reject("--ceiling must be at least 2, got %d" % args.ceiling)
-    try:
-        records = exceptional_table(args.qm_cap, args.ceiling)
-    except ValueError as e:
-        _reject("--ceiling %d is too low: %s" % (args.ceiling, e))
+    records = exceptional_table(args.qm_cap)
     sys.stdout.write(render_table(records, fmt=args.format) + "\n")
     return 0
 
@@ -299,24 +263,22 @@ def build_parser():
 
     p = subs.add_parser("quotient", help="orbit symbol and multigraph data")
     _add_family_flags(p)
-    p.add_argument("--format", choices=["text"], default="text")
     p.set_defaults(func=_cmd_quotient)
 
     p = subs.add_parser("hamilton", help="certify a Hamilton cycle")
     _add_family_flags(p)
     p.add_argument("--format", choices=["cert", "text"], default="cert")
-    p.add_argument("--budget", type=_budget, default=_EnvBudget())
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_hamilton)
 
     p = subs.add_parser("survey", help="certify every instance up to a bound")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=_EnvBudget())
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_survey)
 
     p = subs.add_parser("tables", help="prime-sequence inequality bounds")
     p.add_argument("--qm-cap", type=int, default=131)
-    p.add_argument("--ceiling", type=int, default=SEARCH_CEILING)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_tables)
 

@@ -37,6 +37,8 @@ from .graphs import (
 )
 from .quotients import lift_closed_walk, quotient
 
+DEFAULT_BUDGET = 10 ** 7  # search expansions before prove gives up
+
 
 class _Uncertified(Exception):
     """prove ended without a certificate; carries the order and valency
@@ -279,7 +281,7 @@ def _quotient_lift(g, q, trace):
     return None
 
 
-def prove(desc, budget=10 ** 7):
+def prove(desc, budget=DEFAULT_BUDGET):
     """A verified Hamilton certificate for the descriptor's graph.
     Raises NotHamiltonianException when a completed search proves that
     the graph has none, and ProofFailure when the graph is disconnected
@@ -400,7 +402,7 @@ def survey_descriptors(max_order):
     return out
 
 
-def survey(max_order, budget=10 ** 7):
+def survey(max_order, budget=DEFAULT_BUDGET):
     rows = []
     for desc in survey_descriptors(max_order):
         t0 = time.perf_counter()

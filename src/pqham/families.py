@@ -79,10 +79,9 @@ def _full_tails(spec):
     tails = {h: frozenset(x % n for x in t) for h, t in enumerate(spec.tails)}
     for h in range(1, mu + 1):
         hh = (m - h) % m
-        img = frozenset((-pow(ainv, h, n) * x) % n for x in tails[h])
-        if hh in tails and tails[hh] != img:
-            raise ValueError("inconsistent T_%d" % hh)
-        tails[hh] = img
+        # hh is already a key only when hh = h = mu, where __post_init__
+        # has checked this same equation
+        tails[hh] = frozenset((-pow(ainv, h, n) * x) % n for x in tails[h])
     return tails
 
 

@@ -4,11 +4,9 @@ and the even-quartic primitive-root exception sets."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .field import is_prime, prime_factors, primitive_roots, squares
-
-SEARCH_CEILING = 10**6
 
 
 def _check_sequence(seq):
@@ -100,22 +98,25 @@ def find_split(p):
     return None
 
 
-def bound_for_split(s, t_primes, ceiling=SEARCH_CEILING):
+def bound_for_split(s, t_primes):
     """Smallest integer k such that the threshold inequality holds for
-    every integer x >= k (None if it still fails at the ceiling, or if
-    it can never hold)."""
-    if not eq_k_holds(s, t_primes, ceiling):
+    every integer x >= k, or None if it never holds."""
+    a = 2 * prod(q - 1 for q in t_primes)
+    b = prod(t_primes)
+    c, d, r = 4 * s - 2, 4 * s + 2, a - b
+    if r <= 0:
         return None
-    # invariant: fails at lo (at x = 1 the right side is infinite) and
-    # holds at hi, so the largest failing x is in [lo, hi)
-    lo, hi = 1, ceiling
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eq_k_holds(s, t_primes, mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo + 1
+    # with u = r + b*d it holds iff r*x - u > 0 and (r*x - u)^2 > b^2 c^2 x,
+    # i.e. iff x lies above the larger root of r^2 x^2 - B x + u^2, which
+    # is at least the vertex B / 2r^2 >= u / r; round it, then step to k
+    u = r + b * d
+    B = 2 * r * u + b * b * c * c
+    k = (B + isqrt(B * B - 4 * r * r * u * u)) // (2 * r * r)
+    while not _ineq_holds(a, b, c, d, k):
+        k += 1
+    while _ineq_holds(a, b, c, d, k - 1):
+        k -= 1
+    return k
 
 
 TYPE_LAST_TWO = "1"
@@ -153,10 +154,11 @@ def is_exceptional(seq):
 
 def _is_exceptional(seq):
     # the split with t empty never holds, so start from t = (q_m,) and move
-    # the split point down, growing 2phi(t) as a and t as b
+    # the split point down, growing 2phi(t) as a and t as b; it stops
+    # before t = seq, whose 2 makes 2phi(t) <= t
     x = prod(seq) + 1
     s, a, b = x - 1, 2, 1
-    for q in reversed(seq):
+    for q in reversed(seq[1:]):
         s //= q
         a *= q - 1
         b *= q
@@ -224,25 +226,17 @@ def _primes_with_radical(seq, bound):
     return tuple(sorted(out))
 
 
-def exceptional_table(qm_cap=131, ceiling=SEARCH_CEILING):
+def exceptional_table(qm_cap=131):
     """The exceptional sequences with their threshold bounds, winning
-    split, and qualifying prime lists; sorted by sequence. Raises
-    ValueError when the ceiling is too low to bound some sequence."""
+    split, and qualifying prime lists; sorted by sequence."""
     records = []
-    # every sequence is found before any bound is computed, and the bounds
-    # go in sorted order, so a low ceiling names the first sequence it fails
     for seq in _exceptional_sequences(qm_cap):
-        m = len(seq)
-        best = None  # (k, -n) so ties prefer the shorter t
-        for n in range(m + 1):
-            k = bound_for_split(prod(seq[:n]), seq[n:], ceiling)
-            if k is not None and (best is None or (k, -n) < best[:2]):
-                best = (k, -n, prod(seq[:n]), prod(seq[n:]))
-        if best is None:
-            raise ValueError(
-                "no split of %r reaches the threshold below %d" % (seq, ceiling)
-            )
-        k, _, s, t = best
+        # some split has 2phi(t) > t and so a bound: t = (q_m,) when m >= 2,
+        # t empty for (2,); ties prefer the shorter t
+        k, _, s, t = min(
+            (k, -n, prod(seq[:n]), prod(seq[n:]))
+            for n in range(len(seq) + 1)
+            if (k := bound_for_split(prod(seq[:n]), seq[n:])) is not None)
         primes = _primes_with_radical(seq, k)
         filtered = tuple(
             p for p in primes if p % 4 == 1 and is_prime((p + 1) // 2)

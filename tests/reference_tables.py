@@ -16,7 +16,32 @@ exact integer arithmetic makes checkable:
 The quartic reference set omits (5,0): f(b)=b^4+1 equals 2 at every unit
 mod 5 because b^4=1, and 2 is a non-square mod 5, so k=0 is a genuine
 exception at p=5.
+
+bisect_bound finds a split's threshold bound by bisection below an
+explicit ceiling, independently of the closed form that
+residues.bound_for_split uses.
 """
+
+from pqham.residues import eq_k_holds
+
+
+def bisect_bound(s, t_primes, ceiling):
+    """Smallest integer k such that the threshold inequality holds for
+    every integer x >= k, found by bisection on [1, ceiling]; None if it
+    fails at the ceiling (so also if it never holds)."""
+    if not eq_k_holds(s, t_primes, ceiling):
+        return None
+    # invariant: fails at lo (at x = 1 the right side is infinite) and
+    # holds at hi, so the largest failing x is in [lo, hi)
+    lo, hi = 1, ceiling
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eq_k_holds(s, t_primes, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo + 1
+
 
 # sequence -> (bound k, split type, primes <= k, filtered primes)
 PUBLISHED_TABLE = {

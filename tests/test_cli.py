@@ -136,24 +136,25 @@ def test_bad_flags_exit_2():
                  ["hamilton", "--family", "dihedral", "--p", "13"],
                  ["construct", "--family", "gp", "--n", "5"],
                  ["hamilton", "--family", "psl2sub", "--p", "13",
-                  "--orders", "2,3", "--size", "12", "--index", "1"]):
+                  "--orders", "2,3", "--size", "12", "--index", "1"],
+                 # flags that no command takes
+                 ["tables", "--ceiling", "10"],
+                 ["quotient", "--family", "gp", "--n", "7", "--k", "2",
+                  "--format", "text"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("PQHAM_BUDGET", "12345")
+def test_budget_flag_default():
     parser = build_parser()
-    args = parser.parse_args(["hamilton", "--family", "gp", "--n", "7",
-                              "--k", "2"])
-    assert args.budget == 12345
-    args = parser.parse_args(["hamilton", "--family", "gp", "--n", "7",
-                              "--k", "2", "--budget", "99"])
-    assert args.budget == 99
+    for argv in (["hamilton", "--family", "gp", "--n", "7", "--k", "2"],
+                 ["survey", "--max-order", "15"]):
+        assert parser.parse_args(argv).budget == engine.DEFAULT_BUDGET
+        assert parser.parse_args(argv + ["--budget", "99"]).budget == 99
 
 
-def test_nonpositive_budget_exit_2(capsys, monkeypatch):
+def test_nonpositive_budget_exit_2(capsys):
     for argv in (["hamilton", "--family", "triple", "--size", "4",
                   "--budget", "-5"],
                  ["hamilton", "--family", "triple", "--size", "4",
@@ -162,28 +163,20 @@ def test_nonpositive_budget_exit_2(capsys, monkeypatch):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert "must be positive" in captured.err
-    monkeypatch.setenv("PQHAM_BUDGET", "0")
-    assert main(["survey", "--max-order", "15"]) == 2
-    assert "must be positive" in capsys.readouterr().err
-    monkeypatch.setenv("PQHAM_BUDGET", "many")
-    with pytest.raises(SystemExit) as e:
-        main(["survey", "--max-order", "15"])
-    assert e.value.code == 2
-    assert capsys.readouterr().err.count("\n") == 1
+        assert captured.err.startswith("--budget must be positive")
 
 
 def test_tables_respect_qm_cap(capsys):
     code, out = run(capsys, "tables", "--qm-cap", "4", "--format", "csv")
     assert code == 0
     assert [l.split(";")[0] for l in out.splitlines()[1:]] == ["2", "2,3"]
+    code, out = run(capsys, "tables", "--qm-cap", "4")
+    assert code == 0 and out.startswith("sequence")
+    assert [l.split()[0] for l in out.splitlines()[1:]] == ["2", "2,3"]
 
 
 def test_bad_parameters_exit_2_one_line(capsys):
-    for argv in (["tables", "--ceiling", "0"],
-                 ["tables", "--ceiling", "1"],
-                 ["tables", "--qm-cap", "11", "--ceiling", "56"],
-                 ["tables", "--qm-cap", "0"],
+    for argv in (["tables", "--qm-cap", "0"],
                  ["quartic", "--p", "12"],
                  ["quartic", "--p", "2"],
                  ["quartic", "--p", "0"],
@@ -224,19 +217,6 @@ def test_hamilton_builds_the_instance_once(capsys, monkeypatch):
                     "--k", "2", "--format", "text")
     assert code == 0 and out.startswith("hamiltonian ")
     assert len(built) == 1
-
-
-def test_budget_env_read_only_by_search_commands(capsys, monkeypatch):
-    monkeypatch.setenv("PQHAM_BUDGET", "x")
-    code, out = run(capsys, "quartic", "--p", "13")
-    assert code == 0 and out == "13: 1,4,5,6,7,10\n"
-    code, out = run(capsys, "tables", "--qm-cap", "4")
-    assert code == 0 and out.startswith("sequence")
-    with pytest.raises(SystemExit) as e:
-        main(["survey", "--max-order", "15"])
-    assert e.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_bad_suborbit_spaces_exit_2_one_line(capsys):

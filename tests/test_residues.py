@@ -33,6 +33,7 @@ from reference_tables import (
     QUARTIC_PRIMES,
     XI_BAR_WITNESSES,
     XI_WITNESSES,
+    bisect_bound,
     exact_table,
 )
 
@@ -198,12 +199,31 @@ def test_exact_threshold_brackets():
         assert not eq_k_holds(s, tp, k - 1)
 
 
-def test_exceptional_table_rejects_low_ceiling():
-    # the largest bound below cap 11 is 3649, for (2, 3, 5, 7)
-    assert exceptional_table(11, ceiling=3649) == exceptional_table(11)
-    for ceiling in (3648, 56, 1, 0):
-        with pytest.raises(ValueError):
-            exceptional_table(11, ceiling)
+# far above any bound tested: below 10^50 for t of at most 8 primes
+# under 200 and s below 10^6
+BISECTION_CEILING = 10 ** 60
+
+
+def _check_bound(s, tp):
+    got = bound_for_split(s, tp)
+    assert got == bisect_bound(s, tp, BISECTION_CEILING), (s, tp)
+    # a bound exists exactly when 2phi(t) > t
+    assert (got is None) == (2 * prod(q - 1 for q in tp) <= prod(tp)), (s, tp)
+
+
+def test_bound_for_split_matches_bisection_on_table_splits():
+    for r in exceptional_table(60):
+        seq = r.sequence
+        for n in range(len(seq) + 1):
+            _check_bound(prod(seq[:n]), seq[n:])
+
+
+def test_bound_for_split_matches_bisection_on_random_splits():
+    rnd = random.Random(23)
+    pool = [q for q in range(2, 200) if is_prime(q)]
+    for _ in range(400):
+        tp = tuple(sorted(rnd.sample(pool, rnd.randint(0, 8))))
+        _check_bound(rnd.randint(1, 10 ** 6), tp)
 
 
 def test_is_exceptional():
