@@ -29,6 +29,7 @@ from .families import (
 )
 from .field import is_prime
 from .graphs import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     gp,
     hamilton_cycle,
@@ -36,8 +37,6 @@ from .graphs import (
     verify_hamilton_cycle,
 )
 from .quotients import lift_closed_walk, quotient
-
-DEFAULT_BUDGET = 10 ** 7  # search expansions before prove gives up
 
 
 class _Uncertified(Exception):
@@ -246,7 +245,7 @@ def build_instance(desc):
 # strategies
 
 
-def _quotient_lift(g, q, trace):
+def _quotient_lift(g, q, trace, budget):
     """Hamilton cycle through a quotient Hamilton cycle containing a
     multiplicity >= 2 edge, lifted along its voltages."""
     m, n = q.m, q.n
@@ -263,7 +262,7 @@ def _quotient_lift(g, q, trace):
     doubles = sorted((a, b) for a in range(m) for b in range(a + 1, m)
                      if q.d(a, b) >= 2)
     for a, b in doubles:
-        path = hamilton_path(q.graph, a, b)
+        path = hamilton_path(q.graph, a, b, budget=budget)
         if path is None:
             continue
         out = lift_closed_walk(q, path)
@@ -272,7 +271,7 @@ def _quotient_lift(g, q, trace):
             trace.append("double_edge=%d-%d" % (a, b))
             return list(out.cycle)
     # no usable double edge: a plain quotient cycle may still lift fully
-    cyc = hamilton_cycle(q.graph)
+    cyc = hamilton_cycle(q.graph, budget=budget)
     if cyc is not None:
         out = lift_closed_walk(q, cyc)
         if out.full:
@@ -287,7 +286,7 @@ def prove(desc, budget=DEFAULT_BUDGET):
     the graph has none, and ProofFailure when the graph is disconnected
     or the search exhausts its budget. The cycle is a lifted quotient
     cycle when the instance's automorphism is semiregular and one lifts
-    fully, else the budgeted direct search's."""
+    fully, else the direct search's; each search gets budget expansions."""
     g, rho = build_instance(desc)
     trace = ["descriptor=%s" % desc]
     cycle, strategy, q = None, None, None
@@ -297,7 +296,10 @@ def prove(desc, budget=DEFAULT_BUDGET):
         except ValueError:
             pass  # rho is not semiregular: no quotient strategy applies
     if q is not None:
-        cycle = _quotient_lift(g, q, trace)
+        try:
+            cycle = _quotient_lift(g, q, trace, budget)
+        except BudgetExceeded:
+            pass  # a quotient search ran out: the direct search decides
         strategy = "quotient-lift"
     if cycle is None:
         # a verified lifted cycle proves g connected; the search needs it

@@ -1,14 +1,18 @@
 """Simple graphs, exact Hamilton search with certificates, and
 generalized Petersen machinery."""
 
+from bisect import bisect_left
+
+DEFAULT_BUDGET = 10 ** 7  # search expansions before a search gives up
+
 
 class BudgetExceeded(Exception):
     """Raised when a Hamilton search exhausts its expansion budget."""
 
 
 class Graph:
-    """Finite simple undirected graph on vertices 0..n-1 with sorted
-    adjacency lists. Immutable after construction.
+    """Finite simple undirected graph on vertices 0..n-1, stored only as
+    strictly increasing adjacency tuples. Immutable after construction.
 
     Graph(n, edges) is the public constructor: it rejects loops and
     out-of-range ends, and merges repeated edges. Graph._from_rows(rows,
@@ -17,8 +21,6 @@ class Graph:
     and loop-free and every one of the given permutations an
     automorphism. The graph records those in _automorphisms, as tuples;
     Graph(n, edges) records none."""
-
-    _automorphisms = ()
 
     def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
@@ -31,17 +33,16 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adjacency = [tuple(sorted(s)) for s in adj]
-        self._adjsets = [frozenset(s) for s in adj]
+        self._automorphisms = ()
 
     @classmethod
     def _from_rows(cls, rows, automorphisms):
-        """The graph whose row v is rows[v]. Each row must be strictly
-        increasing, hold no v, and hold u exactly when rows[u] holds v;
-        each of automorphisms must be an automorphism of the graph."""
+        """The graph whose row v is rows[v], a list of tuples it keeps. Each
+        row must be strictly increasing, hold no v, and hold u exactly when
+        rows[u] holds v; each of automorphisms must be an automorphism."""
         g = cls.__new__(cls)
         g.n = len(rows)
-        g.adjacency = [tuple(r) for r in rows]
-        g._adjsets = [frozenset(r) for r in rows]
+        g.adjacency = rows
         g._automorphisms = tuple(map(tuple, automorphisms))
         return g
 
@@ -49,7 +50,9 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u, v):
-        return v in self._adjsets[u]
+        row = self.adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self):
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -125,7 +128,7 @@ def orbit_graph(gens, base, row):
     fails. The graph records gens as proven automorphisms."""
     order, tree = transversal(gens, base)
     n = len(order)
-    row = sorted(set(row))
+    row = tuple(sorted(set(row)))
     if base in row or not set(range(n)).issuperset(row):
         raise ValueError("need a row of points other than the base point, "
                          "all in range(%d)" % n)
@@ -133,25 +136,22 @@ def orbit_graph(gens, base, row):
     rows[base] = row
     for w in order[1:]:
         gi, u = tree[w]
-        rows[w] = [gens[gi][x] for x in rows[u]]
-    for r in rows:
-        r.sort()
+        rows[w] = tuple(sorted(map(gens[gi].__getitem__, rows[u])))
     g = Graph._from_rows(rows, gens)
     # Every generator maps each row onto the row of its image, so the
     # directed pairs form a group-invariant set that holds the base pairs
     # and lies in their orbit: they are exactly that orbit. Tree moves hold
-    # by construction. Generators are permutations and all rows have one
-    # length, so an image inside the target row is all of it.
-    sets = g._adjsets
+    # by construction. Both sides of the check are strictly increasing,
+    # so equal tuples are equal sets.
     for gi, perm in enumerate(gens):
+        image = perm.__getitem__
         for u, r in enumerate(rows):
             w = perm[u]
-            if tree[w] != (gi, u) and \
-                    not sets[w].issuperset([perm[x] for x in r]):
+            if tree[w] != (gi, u) and tuple(sorted(map(image, r))) != rows[w]:
                 raise ValueError("the row is not invariant under the "
                                  "generators")
     # An invariant set of pairs is symmetric when its base row is.
-    if not all(base in sets[x] for x in row):
+    if not all(g.has_edge(x, base) for x in row):
         raise ValueError("the row is not closed under pairing")
     return g
 
@@ -178,7 +178,7 @@ def _search(g, start, target, budget):
     path found does not depend on the rules."""
     n = g.n
     adj = g.adjacency
-    adjsets = g._adjsets
+    adjsets = [frozenset(a) for a in adj]
     cycle = target is None
     close_to = adjsets[start]
     visited = [False] * n
@@ -278,19 +278,17 @@ def _search(g, start, target, budget):
             return None, expansions
 
 
-def hamilton_cycle(g, budget=10**6):
+def hamilton_cycle(g, budget=DEFAULT_BUDGET):
     """A Hamilton cycle of g as a vertex list, or None when exhaustive
     search proves absence. Raises BudgetExceeded past the expansion
     budget."""
-    if g.n < 3 or not g.is_connected():
-        return None
-    if min(g.degree(v) for v in range(g.n)) < 2:
+    if g.n < 3 or min(map(len, g.adjacency)) < 2 or not g.is_connected():
         return None
     start = min(range(g.n), key=g.degree)
     return _search(g, start, None, budget)[0]
 
 
-def hamilton_path(g, u, v, budget=10**6):
+def hamilton_path(g, u, v, budget=DEFAULT_BUDGET):
     """A Hamilton path from u to v, or None when exhaustive search proves
     absence. Raises BudgetExceeded past the expansion budget."""
     if u == v:

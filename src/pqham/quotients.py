@@ -10,9 +10,9 @@ from .graphs import Graph
 def is_automorphism(g, perm):
     if sorted(perm) != list(range(g.n)):
         return False
-    sets = g._adjsets
-    return all(sets[perm[u]].issuperset([perm[v] for v in row])
-               for u, row in enumerate(g.adjacency))
+    adj, image = g.adjacency, perm.__getitem__
+    return all(tuple(sorted(map(image, row))) == adj[perm[u]]
+               for u, row in enumerate(adj))
 
 
 def permutation_orbits(*perms):

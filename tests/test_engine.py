@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from pqham import engine, quotients
+from pqham import engine, graphs, quotients
 from pqham.engine import (
     Certificate,
     Descriptor,
@@ -22,7 +22,7 @@ from pqham.engine import (
 )
 from pqham.actions import orbital_graph, psl2_coset_space, psl2_subgroup_scan
 from pqham.families import MetacirculantSpec
-from pqham.graphs import Graph, gp
+from pqham.graphs import BudgetExceeded, Graph, gp
 
 
 PETERSEN = Descriptor(
@@ -182,6 +182,57 @@ def test_budget_exhaustion_is_proof_failure():
     with pytest.raises(ProofFailure) as e:
         prove(Descriptor("triple", (4,)), budget=10)
     assert (e.value.order, e.value.valency) == (35, 4)
+
+
+def _exhausting_quotient_searches(monkeypatch, order, path_exhausts):
+    """Patch engine's searches so that on any graph but one of the given
+    order, hamilton_cycle and, when path_exhausts, hamilton_path run past
+    their budget (a quotient path search otherwise finds none). Returns
+    the (search, budget) of each patched call."""
+    calls = []
+
+    def patch(search, exhausts):
+        def fake(g, *ends, budget):
+            if g.n == order:
+                return search(g, *ends, budget=budget)
+            calls.append((search.__name__, budget))
+            if exhausts:
+                raise BudgetExceeded(budget + 1)
+            return None
+        monkeypatch.setattr(engine, search.__name__, fake)
+
+    patch(graphs.hamilton_path, path_exhausts)
+    patch(graphs.hamilton_cycle, True)
+    return calls
+
+
+@pytest.mark.parametrize("path_exhausts", [True, False])
+def test_quotient_search_past_the_budget_leaves_the_direct_search(
+        monkeypatch, path_exhausts):
+    desc = Descriptor("omega", (5, 0))  # lifts through a double edge
+    g = build_instance(desc)[0]
+    calls = _exhausting_quotient_searches(monkeypatch, g.n, path_exhausts)
+    c = prove(desc, budget=12345)
+    assert c.strategy == "direct-search" and verify(g, c)
+    assert calls and all(b == 12345 for _, b in calls)
+    assert calls[-1][0] == ("hamilton_path" if path_exhausts
+                            else "hamilton_cycle")
+    # and a direct search past the budget is a ProofFailure as ever
+    with pytest.raises(ProofFailure, match="budget exhausted"):
+        prove(desc, budget=3)
+
+
+def test_a_tiny_budget_ends_the_lift_without_escaping_prove():
+    # the quotient path search of omega(5, 0) needs more than 1 expansion
+    with pytest.raises(ProofFailure, match="budget exhausted"):
+        prove(Descriptor("omega", (5, 0)), budget=1)
+    assert prove(Descriptor("omega", (5, 0))).strategy == "quotient-lift"
+
+
+def test_one_default_budget():
+    assert engine.DEFAULT_BUDGET is graphs.DEFAULT_BUDGET == 10 ** 7
+    for f in (graphs.hamilton_cycle, graphs.hamilton_path, prove, survey):
+        assert f.__defaults__[-1] == graphs.DEFAULT_BUDGET
 
 
 def test_row12_valency_check():

@@ -59,6 +59,35 @@ ROT7 = [(x + 1) % 7 for x in range(7)]
 DOUBLE7 = [2 * x % 7 for x in range(7)]
 
 
+def test_has_edge_agrees_with_row_membership():
+    rnd = random.Random(2323)
+    # 0 and 3 are isolated; row 2 is (1, 4), so 0, 3 and 5 miss it below,
+    # between and above its entries
+    graphs = [Graph(6, [(1, 2), (2, 4), (4, 5)]), Graph(1), Graph(0)]
+    graphs += [random_graph(rnd, rnd.randrange(2, 25), rnd.random())
+               for _ in range(60)]
+    graphs += [orbit_graph([ROT7], 0, {1, 6}),
+               orbit_graph([ROT7, DOUBLE7], 0, range(1, 7))]
+    graphs += [build_instance(Descriptor(*d))[0]
+               for d in (("omega", (5, 0)), ("dihedral", (13, "S7")),
+                         ("triple", (18,)))]
+    for g in graphs:
+        for u in range(g.n):
+            row = set(g.adjacency[u])
+            assert all(g.has_edge(u, v) == (v in row)
+                       for v in range(-1, g.n + 1))
+    assert not any(graphs[0].has_edge(0, v) or graphs[0].has_edge(3, v)
+                   for v in range(6))
+
+
+def test_a_graph_keeps_one_adjacency():
+    for g in (Graph(4, [(0, 1), (2, 3)]), gp(7, 2),
+              orbit_graph([ROT7, DOUBLE7], 0, range(1, 7)),
+              build_instance(Descriptor("omega", (5, 0)))[0]):
+        assert set(vars(g)) == {"n", "adjacency", "_automorphisms"}
+        assert all(type(r) is tuple for r in g.adjacency)
+
+
 def test_orbit_graph_carries_the_base_row():
     assert orbit_graph([ROT7], 0, {1, 6}) == cycle_graph(7)
     # the row may come in any order and any container
