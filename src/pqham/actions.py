@@ -4,7 +4,6 @@ character model of PSL(2,p) acting on cosets of a maximal dihedral
 subgroup, and the quadric-point model of PSL(2,q^2) acting on cosets
 of PGL(2,q)."""
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +16,7 @@ from .field import (
     sqrt_mod,
     squares,
 )
-from .graphs import orbit_graph, transversal
+from .graphs import orbit_graph, orbit_walk, transversal
 from .quotients import permutation_orbits, quotient
 
 
@@ -41,11 +40,6 @@ def psl2_mul(m, k, p):
     e, f, g, h = k
     return psl2_canon((a * e + b * g, a * f + b * h,
                        c * e + d * g, c * f + d * h), p)
-
-
-def psl2_inv(m, p):
-    a, b, c, d = m
-    return psl2_canon((d, -b, -c, a), p)
 
 
 PSL2_ID = (1, 0, 0, 1)
@@ -115,18 +109,11 @@ def psl2_subgroup_scan(p, order_a, order_b, order_ab, size):
 
 
 def _bounded_closure(gens, p, cap):
-    seen = {PSL2_ID}
-    frontier = [PSL2_ID]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = psl2_mul(x, g, p)
-            if y not in seen:
-                if len(seen) == cap:
-                    return None
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen) if len(seen) == cap else None
+    """The subgroup gens generate, sorted, when it has exactly cap
+    elements; None otherwise, found within cap + 1 elements."""
+    moves = [lambda x, g=g: psl2_mul(x, g, p) for g in gens]
+    order = orbit_walk(PSL2_ID, moves, cap)[0]
+    return sorted(order) if len(order) == cap else None
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +146,18 @@ class CosetSpace:
     suborbits: tuple
 
 
-def action_space(n, base, gens, stab_gens):
-    """Build a CosetSpace: suborbits are the orbits of the stabilizer,
-    and the suborbit paired with the one holding x = t(base) holds
-    t^-1(base), t the word of the transversal's tree taking base to x.
-    Every generator must be a permutation of range(n), and the stabilizer
-    generators must fix base."""
+def action_space(base, gens, stab_gens):
+    """Build a CosetSpace on range(n), n the length of the generators:
+    suborbits are the orbits of the stabilizer, and the suborbit paired
+    with the one holding x = t(base) holds t^-1(base), t the word of the
+    transversal's tree taking base to x. Every generator must be a
+    permutation of range(n), and the stabilizer generators must fix
+    base."""
     gens = tuple(tuple(g) for g in gens)
     stab_gens = tuple(tuple(g) for g in stab_gens)
     moves = gens + stab_gens
-    order, tree = transversal(moves, base)
-    if len(order) != n:
-        raise ValueError("the generators do not permute range(%d)" % n)
+    n = len(gens[0])
+    tree = transversal(moves, base)[1]
     if any(g[base] != base for g in stab_gens):
         raise ValueError("a stabilizer generator moves the base point")
     inverses = [sorted(range(n), key=g.__getitem__) for g in moves]
@@ -246,23 +233,12 @@ def _invariant_sets(perms):
 
 
 def _key_search(start, moves):
-    """Breadth-first search from the key start along moves, each a table
-    of the generators on encoded tuples: (index of each key, keys in the
-    order found). A key popped a second time is skipped."""
-    index = {}
-    keys = []
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
-        if key in index:
-            continue
-        index[key] = len(keys)
-        keys.append(key)
-        for move in moves:
-            y = frozenset(map(move.__getitem__, key))
-            if y not in index:
-                queue.append(y)
-    return index, keys
+    """orbit_walk from the key start along moves, each a table of the
+    generators on encoded tuples: (index of each key, keys in the order
+    found)."""
+    keys = orbit_walk(start, [lambda key, m=move.__getitem__:
+                              frozenset(map(m, key)) for move in moves])[0]
+    return {key: i for i, key in enumerate(keys)}, keys
 
 
 def psl2_coset_space(p, subgroup, sub_gens):
@@ -303,7 +279,7 @@ def psl2_coset_space(p, subgroup, sub_gens):
 
     gens = tuple(map(perm_of, moves))
     stab = tuple(perm_of(_on_tuples(_moebius(h, p), k)) for h in sub_gens)
-    return action_space(n, 0, gens, stab)
+    return action_space(0, gens, stab)
 
 
 def alternating_triple_space():
@@ -322,7 +298,7 @@ def alternating_triple_space():
     rot7 = (1, 2, 3, 4, 5, 6, 0)
     stab = (rot3, (0, 1, 2, 4, 5, 3, 6), (0, 1, 2, 3, 5, 6, 4),
             (1, 0, 2, 4, 3, 5, 6))
-    return action_space(35, 0, (induced(rot3), induced(rot7)),
+    return action_space(0, (induced(rot3), induced(rot7)),
                         tuple(map(induced, stab)))
 
 
@@ -419,7 +395,7 @@ def dihedral_model(p):
     g0 = min(primitive_roots(p))
     s = (0, -1, 1, 0)
     rho = perm_of((1, 1, 0, 1))
-    space = action_space(len(labels), 0, (rho, perm_of(s)),
+    space = action_space(0, (rho, perm_of(s)),
                          (perm_of((g0, 0, 0, pow(g0, -1, p))), perm_of(s)))
     names = {}
     by_points = {s_.points: s_.index for s_ in space.suborbits}

@@ -302,15 +302,15 @@ def prove(desc, budget=DEFAULT_BUDGET):
             pass  # a quotient search ran out: the direct search decides
         strategy = "quotient-lift"
     if cycle is None:
-        # a verified lifted cycle proves g connected; the search needs it
-        if not g.is_connected():
-            raise ProofFailure("%s is disconnected" % desc, g)
         try:
             cycle = hamilton_cycle(g, budget=budget)
         except BudgetExceeded:
             raise ProofFailure("budget exhausted on %s" % desc, g)
         strategy = "direct-search"
         if cycle is None:
+            # the search ends at once on a disconnected graph
+            if not g.is_connected():
+                raise ProofFailure("%s is disconnected" % desc, g)
             raise NotHamiltonianException(
                 "exhaustive search found no Hamilton cycle in %s" % desc, g)
     cert = Certificate(g.n, g.valency(), graph_fingerprint(g), tuple(cycle),

@@ -140,7 +140,7 @@ class ResidueIntersections:
 
 def residue_intersections(p):
     sq = squares(p)
-    nsq = frozenset(x for x in range(1, p) if x not in sq)
+    nsq = nonsquares(p)
     sq1 = {(x + 1) % p for x in sq}
     ns1 = {(x + 1) % p for x in nsq}
     nm1 = {(x - 1) % p for x in nsq}

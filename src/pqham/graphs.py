@@ -92,12 +92,30 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count)
 
 
+def orbit_walk(start, moves, limit=float("inf")):
+    """(order, tree) for the orbit of start under the callables moves:
+    order lists the points breadth-first as found, and tree[y] = (i, x),
+    with moves[i](x) == y and x earlier in order, for every point y but
+    start, whose entry is None. The walk stops once it has found more
+    than limit points, limit >= 1."""
+    tree = {start: None}
+    order = [start]
+    indexed = list(enumerate(moves))
+    for x in order:
+        for i, move in indexed:
+            y = move(x)
+            if y not in tree:
+                tree[y] = (i, x)
+                order.append(y)
+                if len(order) > limit:
+                    return order, tree
+    return order, tree
+
+
 def transversal(gens, base):
-    """(order, tree) for the permutations gens of range(n): order lists the
-    points breadth-first from base, and tree[w] = (i, u), with gens[i][u]
-    = w and u earlier in order, for every point w but base, whose entry is
-    None. ValueError when a generator is not a permutation of range(n),
-    base is not in it, or the generators do not act transitively."""
+    """orbit_walk from base along the permutations gens of range(n).
+    ValueError when a generator is not a permutation of range(n), base is
+    not in it, or the generators do not act transitively."""
     n = len(gens[0])
     points = set(range(n))
     for perm in gens:
@@ -106,14 +124,7 @@ def transversal(gens, base):
                              "range(%d)" % n)
     if base not in points:
         raise ValueError("the base point is not in range(%d)" % n)
-    tree = {base: None}
-    order = [base]
-    for u in order:
-        for gi, perm in enumerate(gens):
-            w = perm[u]
-            if w not in tree:
-                tree[w] = (gi, u)
-                order.append(w)
+    order, tree = orbit_walk(base, [perm.__getitem__ for perm in gens])
     if len(order) != n:
         raise ValueError("generators do not act transitively")
     return order, tree
@@ -188,15 +199,12 @@ def _search(g, start, target, budget):
         rem[x] -= 1
     path = [start]
 
-    def split(w):
-        # U ∪ {w} was connected, so U is connected iff w's unvisited
-        # neighbours share one component of U
-        nbrs = [x for x in adj[w] if not visited[x]]
-        if len(nbrs) < 2:
-            return False
-        want = set(nbrs[1:])
-        seen = {nbrs[0]}
-        stack = [nbrs[0]]
+    def apart(ends):
+        # whether the unvisited vertices ends span more than one
+        # component of U
+        want = set(ends[1:])
+        stack = ends[:1]
+        seen = set(stack)
         while want and stack:
             for y in adj[stack.pop()]:
                 if not visited[y] and y not in seen:
@@ -204,6 +212,12 @@ def _search(g, start, target, budget):
                     stack.append(y)
                     want.discard(y)
         return bool(want)
+
+    def split(w):
+        # U ∪ {w} was connected, so U is connected iff w's unvisited
+        # neighbours share one component of U
+        nbrs = [x for x in adj[w] if not visited[x]]
+        return len(nbrs) >= 2 and apart(nbrs)
 
     def starved(u, w):
         # each x in U but the target is interior to the rest of the path:
@@ -257,8 +271,8 @@ def _search(g, start, target, budget):
 
     # the rules hold at the root when U = V - start is connected and no
     # vertex other than the two ends has fewer than two neighbours
-    if split(start) or any(len(adj[x]) < 2 for x in range(n)
-                           if x != start and x != target):
+    if apart([x for x in range(n) if x != start]) or any(
+            len(adj[x]) < 2 for x in range(n) if x != start and x != target):
         return None, 0
     expansions = 0
     frames = []  # per expanded path vertex, an iterator over its children
@@ -282,7 +296,7 @@ def hamilton_cycle(g, budget=DEFAULT_BUDGET):
     """A Hamilton cycle of g as a vertex list, or None when exhaustive
     search proves absence. Raises BudgetExceeded past the expansion
     budget."""
-    if g.n < 3 or min(map(len, g.adjacency)) < 2 or not g.is_connected():
+    if g.n < 3:
         return None
     start = min(range(g.n), key=g.degree)
     return _search(g, start, None, budget)[0]
@@ -293,8 +307,6 @@ def hamilton_path(g, u, v, budget=DEFAULT_BUDGET):
     absence. Raises BudgetExceeded past the expansion budget."""
     if u == v:
         raise ValueError("endpoints must differ")
-    if not g.is_connected():
-        return None
     return _search(g, u, v, budget)[0]
 
 

@@ -4,7 +4,7 @@ matrix, and cycle lifting through cyclic voltages."""
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import Graph
+from .graphs import Graph, orbit_walk
 
 
 def is_automorphism(g, perm):
@@ -19,45 +19,15 @@ def permutation_orbits(*perms):
     """Orbits of the group generated by perms, ordered by lowest vertex.
     For a single permutation each orbit is its cycle, listed from its
     lowest vertex by successive application."""
-    n = len(perms[0])
-    seen = [False] * n
+    moves = [perm.__getitem__ for perm in perms]
+    seen = set()
     out = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        seen[v] = True
-        orb = [v]
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for perm in perms:
-                y = perm[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-                    stack.append(y)
-        out.append(orb)
+    for v in range(len(perms[0])):
+        if v not in seen:
+            orb = orbit_walk(v, moves)[0]
+            seen.update(orb)
+            out.append(orb)
     return out
-
-
-def _semiregular_orbits(g, perm):
-    """The cycles of perm, as permutation_orbits lists them, when perm is
-    a g-automorphism whose cycles all share one length n >= 2; None
-    otherwise. A perm that g records as a proven automorphism is not
-    checked again."""
-    if tuple(perm) not in g._automorphisms and not is_automorphism(g, perm):
-        return None
-    orbs = permutation_orbits(perm)
-    if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:
-        return None
-    return orbs
-
-
-def verify_semiregular(g, perm):
-    """(m, n) when perm is a g-automorphism whose cycles all share one
-    length n >= 2; None otherwise."""
-    orbs = _semiregular_orbits(g, perm)
-    return None if orbs is None else (len(orbs), len(orbs[0]))
 
 
 @dataclass(frozen=True)
@@ -101,9 +71,13 @@ class Quotient:
 
 def quotient(g, perm):
     """The quotient of g by perm, with its symbol, read off one pass over
-    each orbit's base adjacency. ValueError unless perm is semiregular."""
-    orbs = _semiregular_orbits(g, perm)
-    if orbs is None:
+    each orbit's base adjacency. ValueError unless perm is a
+    g-automorphism whose cycles all share one length n >= 2. A perm that
+    g records as a proven automorphism is not checked again."""
+    if tuple(perm) not in g._automorphisms and not is_automorphism(g, perm):
+        raise ValueError("permutation is not an automorphism of the graph")
+    orbs = permutation_orbits(perm)
+    if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:
         raise ValueError("permutation is not semiregular on the graph")
     m, n = len(orbs), len(orbs[0])
     pos = [None] * g.n

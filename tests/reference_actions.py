@@ -56,7 +56,7 @@ def enumerate_psl2_coset_space(p, subgroup, sub_gens):
     def perm_of(g):
         return tuple(assign[psl2_mul(reps[u], g, p)] for u in range(n))
 
-    return action_space(n, 0, (perm_of(t), perm_of(s)),
+    return action_space(0, (perm_of(t), perm_of(s)),
                         tuple(perm_of(h) for h in sub_gens))
 
 

@@ -25,7 +25,6 @@ from pqham.actions import (
     psl2_coset_space,
     psl2_dihedral_subgroup,
     psl2_elements,
-    psl2_inv,
     psl2_mul,
     psl2_order,
     psl2_subgroup_scan,
@@ -39,7 +38,6 @@ from pqham.quotients import (
     is_automorphism,
     permutation_orbits,
     quotient,
-    verify_semiregular,
 )
 from reference_actions import (
     EDGE_TABLE_61_FIXUPS,
@@ -57,7 +55,6 @@ def test_psl2_arithmetic():
     m = psl2_canon((12, 0, 0, 12), p)
     assert m == (1, 0, 0, 1)
     a = psl2_canon((1, 5, 0, 1), p)
-    assert psl2_mul(a, psl2_inv(a, p), p) == PSL2_ID
     assert psl2_order(a, p) == 13
 
 
@@ -118,11 +115,29 @@ def test_a4_valency_4_graphs():
     graphs = [orbital_graph(sp, (i,)) for i in fours]
     rho = list(sp.gens[0])
     assert all(g.is_connected() and g.valency() == 4 for g in graphs)
-    assert verify_semiregular(graphs[0], rho) == (7, 13)
+    q = quotient(graphs[0], rho)
+    assert (q.m, q.n) == (7, 13)
     # exactly two isomorphism classes among the three graphs
     iso01 = semiregular_isomorphism(graphs[0], rho, graphs[1], rho)
     iso12 = semiregular_isomorphism(graphs[1], rho, graphs[2], rho)
     assert iso01 is None and iso12 is not None
+
+
+def test_subgroup_closures_stop_past_the_cap(monkeypatch):
+    # PSL(2,13) has 1092 elements and no subgroup of order 168, and
+    # elements of orders 2 and 3 whose product has order 7 generate it:
+    # every closure the scan tries stops at its 169th element
+    sizes = []
+    walk = actions.orbit_walk
+
+    def recording(start, moves, limit=float("inf")):
+        found = walk(start, moves, limit)
+        sizes.append(len(found[0]))
+        return found
+    monkeypatch.setattr(actions, "orbit_walk", recording)
+    with pytest.raises(ValueError):
+        psl2_subgroup_scan(13, 2, 3, 7, 168)
+    assert max(sizes) == 169
 
 
 def keyed_space(monkeypatch, p, sub, gens):
@@ -186,7 +201,7 @@ def test_psl2_coset_key_search_is_bounded(monkeypatch, g):
     while psl2_mul(sub[-1], g, p) != PSL2_ID:
         sub.append(psl2_mul(sub[-1], g, p))
     monkeypatch.setattr(actions, "action_space",
-                        lambda n, base, gens, stab_gens: n)
+                        lambda base, gens, stab_gens: len(gens[0]))
     n, searches = keyed_space(monkeypatch, p, sub, [g])
     assert n * len(sub) == p * (p * p - 1) // 2
     assert searches[-1] == (3, n)
@@ -378,13 +393,13 @@ def test_action_space_rejects_non_permutations():
     squashed = (sp.gens[0][1],) + sp.gens[0][1:]  # not injective
     for bad in (squashed, sp.gens[0][:-1], sp.gens[0] + (sp.n,)):
         with pytest.raises(ValueError):
-            action_space(sp.n, sp.base, (bad, sp.gens[1]), sp.stab_gens)
+            action_space(sp.base, (bad, sp.gens[1]), sp.stab_gens)
         with pytest.raises(ValueError):
-            action_space(sp.n, sp.base, sp.gens, sp.stab_gens + (bad,))
+            action_space(sp.base, sp.gens, sp.stab_gens + (bad,))
     mover = next(g for g in sp.gens if g[sp.base] != sp.base)
     with pytest.raises(ValueError):
-        action_space(sp.n, sp.base, sp.gens, sp.stab_gens + (mover,))
-    assert action_space(sp.n, sp.base, sp.gens,
+        action_space(sp.base, sp.gens, sp.stab_gens + (mover,))
+    assert action_space(sp.base, sp.gens,
                         sp.stab_gens).suborbits == sp.suborbits
 
 
@@ -534,7 +549,8 @@ def test_omega_model_q5():
         {0: 10, 1: 24, 2: 30}
     assert len(m.inner_blocks) == 3 and len(m.outer_blocks) == 10
     g = omega_graph(m, 1)
-    assert verify_semiregular(g, list(m.rho)) == (13, 5)
+    q = quotient(g, list(m.rho))
+    assert (q.m, q.n) == (13, 5)
     sizes = sorted(len(o) for o in
                    permutation_orbits_of_group(m.norm_gens, 65))
     assert sizes == [5, 5, 5, 50]

@@ -16,7 +16,6 @@ from pqham.quotients import (
     is_automorphism,
     permutation_orbits,
     quotient,
-    verify_semiregular,
 )
 from reference_families import (
     edge_rule_fermat,
@@ -57,7 +56,8 @@ def test_gf2k_arithmetic():
 def test_metacirculant_petersen():
     g, rho, sigma = metacirculant(PET_SPEC)
     assert g == gp(5, 2)
-    assert verify_semiregular(g, rho) == (2, 5)
+    q = quotient(g, rho)
+    assert (q.m, q.n) == (2, 5)
     assert is_automorphism(g, sigma)
     assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
         [list(range(10))]
@@ -68,7 +68,8 @@ def test_metacirculant_circulant():
     g, rho, sigma = metacirculant(spec)
     c7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
     assert g == c7
-    assert verify_semiregular(g, rho) == (1, 7)
+    q = quotient(g, rho)
+    assert (q.m, q.n) == (1, 7)
 
 
 def test_metacirculant_validation():
@@ -93,7 +94,8 @@ def test_metacirculant_transitive_family():
                                     frozenset({1, 2, 3, 4}))),
     ]:
         g, rho, sigma = metacirculant(spec)
-        assert verify_semiregular(g, rho) == (spec.m, spec.n)
+        q = quotient(g, rho)
+        assert (q.m, q.n) == (spec.m, spec.n)
         assert is_automorphism(g, sigma)
         assert [sorted(o) for o in permutation_orbits(rho, sigma)] == \
             [list(range(g.n))]
@@ -113,7 +115,8 @@ def test_fermat_smallest_is_line_graph_of_petersen():
     g, rho = fermat_graph(FERMAT_53)
     assert g.n == 15 and g.is_regular() and g.valency() == 4
     assert is_isomorphic(g, line_graph(gp(5, 2)))
-    assert verify_semiregular(g, rho) == (5, 3)
+    q = quotient(g, rho)
+    assert (q.m, q.n) == (5, 3)
 
 
 def fiber_quotient(g, q):
@@ -128,7 +131,8 @@ def test_fermat_block_quotient_complete():
                  FermatSpec(17, 3, frozenset(), frozenset({1})),
                  FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2}))]:
         g, rho = fermat_graph(spec)
-        assert verify_semiregular(g, rho) == (spec.p, spec.q)
+        q = quotient(g, rho)
+        assert (q.m, q.n) == (spec.p, spec.q)
         assert fiber_quotient(g, spec.q) == complete_graph(spec.p)
 
 

@@ -18,7 +18,9 @@ from pqham.graphs import (
     hamilton_cycle,
     hamilton_path,
     orbit_graph,
+    orbit_walk,
     parse_edge_list,
+    transversal,
     verify_hamilton_cycle,
 )
 from reference_graphs import (
@@ -114,6 +116,44 @@ def test_orbit_graph_rejects_what_it_cannot_prove():
         orbit_graph([ROT7], 0, {1})
 
 
+def assert_walk_tree(start, moves, order, tree):
+    # order lists distinct points from start, and each but start was
+    # found by its tree move from an earlier point
+    assert order[0] == start and tree[start] is None
+    assert len(set(order)) == len(order) and set(tree) == set(order)
+    position = {x: k for k, x in enumerate(order)}
+    for y in order[1:]:
+        i, x = tree[y]
+        assert moves[i](x) == y and position[x] < position[y]
+
+
+def test_orbit_walk_on_a_permutation_group():
+    moves = [ROT7.__getitem__, DOUBLE7.__getitem__]
+    order, tree = orbit_walk(0, moves)
+    assert order == [0, 1, 2, 3, 4, 6, 5]
+    assert_walk_tree(0, moves, order, tree)
+    assert tree[4] == (1, 2) and tree[5] == (0, 4)
+    assert transversal([ROT7, DOUBLE7], 0) == (order, tree)
+    # the doubling alone fixes 0 and cycles 1, 2, 4
+    assert orbit_walk(0, moves[1:]) == ([0], {0: None})
+    assert orbit_walk(1, moves[1:])[0] == [1, 2, 4]
+
+
+def test_orbit_walk_on_frozenset_keys():
+    # x + 1 and 2x move the 21 pairs of Z_7 as one orbit
+    moves = [lambda key, perm=perm: frozenset(perm[x] for x in key)
+             for perm in (ROT7, DOUBLE7)]
+    start = frozenset({0, 1})
+    order, tree = orbit_walk(start, moves)
+    assert set(order) == set(map(frozenset, combinations(range(7), 2)))
+    assert_walk_tree(start, moves, order, tree)
+    for limit in (1, 5, 20):
+        head, head_tree = orbit_walk(start, moves, limit)
+        assert head == order[:limit + 1]
+        assert head_tree == {y: tree[y] for y in head}
+    assert orbit_walk(start, moves, 21) == (order, tree)
+
+
 def test_hamilton_cycle_examples():
     assert hamilton_cycle(cycle_graph(6)) == [0, 1, 2, 3, 4, 5]
     assert verify_hamilton_cycle(complete_graph(4), hamilton_cycle(complete_graph(4)))
@@ -150,6 +190,17 @@ def test_search_expansions_psl2sub_9():
     assert verify_hamilton_cycle(g, cyc)
     assert expansions < 10**4
     assert hamilton_cycle(g, budget=10**4) == cyc
+
+
+def test_search_walks_the_unvisited_vertices_at_the_root():
+    # two disjoint 5-cycles: every vertex has two neighbours and the
+    # start's neighbours share one component, so only a walk over all of
+    # U = V - start sees the graph fall apart, before any expansion
+    g = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+              + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    assert _search(g, 0, None, 10**6) == (None, 0)
+    assert _search(g, 0, 2, 10**6) == (None, 0)
+    assert _search(g, 0, 7, 10**6) == (None, 0)
 
 
 def test_hamilton_path_examples():

@@ -9,7 +9,10 @@ import pytest
 from pqham.actions import dihedral_model, omega_model
 from pqham.cli import main
 from pqham.engine import (
+    Descriptor,
     NotHamiltonianException,
+    _omega_model,
+    _psl2_space,
     format_certificate,
     prove,
     survey_descriptors,
@@ -61,6 +64,21 @@ def test_survey_certificates_pinned():
         except NotHamiltonianException:
             got[str(d)] = "NotHamiltonianException"
     assert got == SURVEY_255
+
+
+def test_large_actions_certificates_pinned():
+    # every orbital graph of PSL(2,61) on the 1891 cosets of A5, one per
+    # pair of nontrivial suborbits by index, then those of omega(11, lam)
+    # by lam
+    key = (61, 2, 3, 5, 60)
+    sp = _psl2_space(*key)
+    descs = [Descriptor("psl2sub", key + (s.index,)) for s in sp.suborbits
+             if s.points != (sp.base,) and s.index <= s.paired]
+    descs += [Descriptor("omega", (11, lam))
+              for lam in sorted(_omega_model(11).suborbits)]
+    assert len(descs) == 42
+    text = "".join(format_certificate(prove(d)) for d in descs)
+    assert digest(text) == "145f8617ded57002"
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -17,7 +17,6 @@ from pqham.quotients import (
     lift_closed_walk,
     permutation_orbits,
     quotient,
-    verify_semiregular,
 )
 from reference_graphs import is_isomorphic
 from reference_quotients import (
@@ -68,13 +67,16 @@ O4_SYMBOL = tuple(
 )
 
 
-def test_verify_semiregular_examples():
-    assert verify_semiregular(PETERSEN, PET_RHO) == (2, 5)
-    assert verify_semiregular(PETERSEN, list(range(10))) is None
-    assert verify_semiregular(O4, O4_RHO) == (7, 5)
+def test_quotient_semiregularity_examples():
+    q = quotient(PETERSEN, PET_RHO)
+    assert (q.m, q.n) == (2, 5)
+    q = quotient(O4, O4_RHO)
+    assert (q.m, q.n) == (7, 5)
     not_aut = list(range(10))
     not_aut[0], not_aut[2] = 2, 0
-    assert verify_semiregular(PETERSEN, not_aut) is None
+    for perm in (list(range(10)), not_aut):
+        with pytest.raises(ValueError):
+            quotient(PETERSEN, perm)
 
 
 def test_is_automorphism():
@@ -189,8 +191,8 @@ def test_lift_disjoint_case():
         ]))
     g = graph_from_symbol(sym)
     rho = [i - i % 3 + (i + 1) % 3 for i in range(9)]
-    assert verify_semiregular(g, rho) == (3, 3)
     q = quotient(g, rho)
+    assert (q.m, q.n) == (3, 3)
     out = lift_closed_walk(q, [0, 1, 2])
     assert not out.full and out.piece_count == 3
     assert len(out.cycle) == 3
@@ -251,11 +253,11 @@ def test_random_circulant_quotients():
         g = Graph(N, {(v, (v + j) % N) for v in range(N) for j in jumps
                       if v != (v + j) % N})
         rho = [(v + m) % N for v in range(N)]
-        mn = verify_semiregular(g, rho)
-        if mn is None:
+        try:
+            q = quotient(g, rho)
+        except ValueError:
             continue
-        assert mn == (m, n)
-        q = quotient(g, rho)
+        assert (q.m, q.n) == (m, n)
         for a in range(q.m):
             deg = q.d_in[a] + sum(q.d(a, b) for b in range(q.m) if b != a)
             assert deg == g.degree(q.orbits[a][0])
