@@ -152,19 +152,30 @@ def orbit_graph(gens, base, row):
     # Every generator maps each row onto the row of its image, so the
     # directed pairs form a group-invariant set that holds the base pairs
     # and lies in their orbit: they are exactly that orbit. Tree moves hold
-    # by construction. Both sides of the check are strictly increasing,
-    # so equal tuples are equal sets.
-    for gi, perm in enumerate(gens):
-        image = perm.__getitem__
-        for u, r in enumerate(rows):
-            w = perm[u]
-            if tree[w] != (gi, u) and tuple(sorted(map(image, r))) != rows[w]:
-                raise ValueError("the row is not invariant under the "
-                                 "generators")
+    # by construction.
+    if not all(maps_rows(perm, rows, tree, gi)
+               for gi, perm in enumerate(gens)):
+        raise ValueError("the row is not invariant under the generators")
     # An invariant set of pairs is symmetric when its base row is.
     if not all(g.has_edge(x, base) for x in row):
         raise ValueError("the row is not closed under pairing")
     return g
+
+
+def maps_rows(perm, rows, tree=None, move=None):
+    """Whether the permutation perm maps each row rows[u] onto the row
+    rows[perm[u]] of its image. The rows are strictly increasing tuples,
+    so the sorted image equals the target row exactly when the two are
+    equal sets. Given an orbit_walk tree and the index move of perm in
+    it, the rows that tree move carried, tree[perm[u]] == (move, u), are
+    skipped."""
+    image = perm.__getitem__
+    for u, r in enumerate(rows):
+        w = perm[u]
+        if (tree is None or tree[w] != (move, u)) \
+                and tuple(sorted(map(image, r))) != rows[w]:
+            return False
+    return True
 
 
 def verify_hamilton_cycle(g, cycle):
@@ -182,92 +193,84 @@ def _search(g, start, target, budget):
     search proved absence. Raises BudgetExceeded past budget expansions.
 
     Children are tried by fewest unvisited neighbours. A move is cut when
-    the unvisited vertices U provably admit no completion, by the
-    connectivity and degree rules of Vandegriend and Culberson (1998).
-    Each rule held before the move, so only what the move changed is
-    checked. A cut drops only subtrees without a solution, so the first
-    path found does not depend on the rules."""
+    the unvisited vertices U provably admit no completion, by the degree,
+    forced-edge and connectivity rules of Vandegriend and Culberson
+    (1998). Each rule held before the move, so only what the move changed
+    is checked. A cut drops only subtrees without a solution, so the
+    first path found does not depend on the rules."""
     n = g.n
     adj = g.adjacency
-    adjsets = [frozenset(a) for a in adj]
     cycle = target is None
-    close_to = adjsets[start]
+    close_to = frozenset(adj[start])
     visited = [False] * n
     visited[start] = True
     rem = [len(a) for a in adj]  # unvisited neighbours of each vertex
+    # have[x]: the usable neighbours of x, those it may still be joined to
+    # on the path: the unvisited ones, the path end and, for a cycle,
+    # start. At the root the end is start, which a cycle counts twice.
+    have = rem[:]
     for x in adj[start]:
         rem[x] -= 1
+        if cycle:
+            have[x] += 1
     path = [start]
 
     def apart(ends):
         # whether the unvisited vertices ends span more than one
-        # component of U
+        # component of U: a breadth-first walk from the first that stops
+        # once it has met all the others
         want = set(ends[1:])
-        stack = ends[:1]
-        seen = set(stack)
-        while want and stack:
-            for y in adj[stack.pop()]:
+        queue = ends[:1]
+        seen = set(queue)
+        for v in queue:
+            for y in adj[v]:
                 if not visited[y] and y not in seen:
+                    if y in want:
+                        want.remove(y)
+                        if not want:
+                            return False
                     seen.add(y)
-                    stack.append(y)
-                    want.discard(y)
+                    queue.append(y)
         return bool(want)
 
-    def split(w):
-        # U ∪ {w} was connected, so U is connected iff w's unvisited
-        # neighbours share one component of U
-        nbrs = [x for x in adj[w] if not visited[x]]
-        return len(nbrs) >= 2 and apart(nbrs)
-
-    def starved(u, w):
-        # each x in U but the target is interior to the rest of the path:
-        # it needs two neighbours among U, the end w and, for a cycle,
-        # start, which serves one such x at most. Moving from u to w took
-        # u from its neighbours, so only they can newly fall short.
-        wset = adjsets[w]
-        for x in adj[u]:
-            if not visited[x] and x != target:
-                have = rem[x] + (x in wset)
-                if have < 2 and not (cycle and have == 1 and x in close_to):
-                    return True
-        return cycle and sum(1 for x in adj[start] if not visited[x]
-                             and rem[x] + (x in wset) < 2) > 1
-
     def cut(u, w):
-        if len(path) == n:
-            return False
+        # Moving the end from u to w lowered have[x] by one for the
+        # neighbours x of u, and nothing else, and left w one free slot.
+        # A cycle must still close at start through an unvisited vertex.
         if cycle and rem[start] == 0:
             return True
-        return starved(u, w) or split(w)
-
-    def step(w):
-        visited[w] = True
-        path.append(w)
-        for x in adj[w]:
-            rem[x] -= 1
-
-    def back():
-        w = path.pop()
-        visited[w] = False
-        for x in adj[w]:
-            rem[x] += 1
-
-    def advance():
-        # move to the next child that survives the rules, backtracking out
-        # of exhausted vertices; False once the root is exhausted
-        while frames:
-            u = path[-1]
-            for w in frames[-1]:
-                if w == target and len(path) < n - 1:
-                    continue
-                step(w)
-                if not cut(u, w):
+        # Each x in U but the target is interior to the rest of the path:
+        # it needs two usable neighbours, and with exactly two it must use
+        # both. No y may then be forced more edges than it has free slots:
+        # 2 for an interior vertex, 1 for the target, the end w and, for a
+        # cycle, start.
+        for x in adj[u]:
+            if visited[x] or x == target or have[x] > 2:
+                continue
+            if have[x] < 2:
+                return True
+            for y in adj[x]:
+                if not visited[y]:
+                    free = 1 if y == target else 2
+                elif cycle and y == start:
+                    free = 1
+                else:
+                    continue  # not usable, or w, which is checked below
+                for z in adj[y]:
+                    if not visited[z] and z != target and have[z] == 2:
+                        free -= 1
+                if free < 0:
                     return True
-                back()
-            frames.pop()
-            if frames:
-                back()
-        return False
+        free = 1
+        for z in adj[w]:
+            if not visited[z] and z != target and have[z] == 2:
+                free -= 1
+        if free < 0:
+            return True
+        # U and w were connected, so U is connected iff w's unvisited
+        # neighbours share one component of U
+        ends = [x for x in adj[w] if not visited[x]]
+        return len(ends) > 1 and apart(ends)
 
     # the rules hold at the root when U = V - start is connected and no
     # vertex other than the two ends has fewer than two neighbours
@@ -275,7 +278,8 @@ def _search(g, start, target, budget):
             len(adj[x]) < 2 for x in range(n) if x != start and x != target):
         return None, 0
     expansions = 0
-    frames = []  # per expanded path vertex, an iterator over its children
+    frames = []  # per path vertex, an iterator over its untried children
+    done = iter(())  # the frame of a vertex given no children
     while True:
         expansions += 1
         if expansions > budget:
@@ -286,10 +290,35 @@ def _search(g, start, target, budget):
                                       key=rem.__getitem__)))
         elif u in close_to if cycle else u == target:
             return path, expansions
-        else:
-            back()
-        if not advance():
-            return None, expansions
+        else:  # a full path that does not close
+            frames.append(done)
+        # move to the next child that survives the rules, backing out of
+        # exhausted vertices; absence once the root is exhausted
+        while True:
+            u = path[-1]
+            w = next(frames[-1], None)
+            if w is None:
+                frames.pop()
+                if not frames:
+                    return None, expansions
+                path.pop()
+                visited[u] = False
+                for x in adj[u]:
+                    rem[x] += 1
+                for x in adj[path[-1]]:
+                    have[x] += 1
+                continue
+            if w == target and len(path) < n - 1:
+                continue
+            visited[w] = True
+            path.append(w)
+            for x in adj[w]:
+                rem[x] -= 1
+            for x in adj[u]:
+                have[x] -= 1
+            if len(path) == n or not cut(u, w):
+                break
+            frames.append(done)  # back out of the cut child
 
 
 def hamilton_cycle(g, budget=DEFAULT_BUDGET):
@@ -304,7 +333,10 @@ def hamilton_cycle(g, budget=DEFAULT_BUDGET):
 
 def hamilton_path(g, u, v, budget=DEFAULT_BUDGET):
     """A Hamilton path from u to v, or None when exhaustive search proves
-    absence. Raises BudgetExceeded past the expansion budget."""
+    absence. ValueError unless u and v are distinct vertices of g. Raises
+    BudgetExceeded past the expansion budget."""
+    if u not in range(g.n) or v not in range(g.n):
+        raise ValueError("endpoints must be vertices in range(%d)" % g.n)
     if u == v:
         raise ValueError("endpoints must differ")
     return _search(g, u, v, budget)[0]
@@ -347,7 +379,10 @@ def _offset_matches(d, c, n, symmetric):
 
 def gp2_path_admissible(n, x, y):
     """Whether a Hamilton path joining x and y is guaranteed in gp(n,2),
-    with x,y in the 0..2n-1 labelling of gp. Five cases on n mod 6."""
+    with x,y in the 0..2n-1 labelling of gp. Five cases on n mod 6.
+    ValueError unless x and y are distinct vertices in range(2n)."""
+    if x not in range(2 * n) or y not in range(2 * n):
+        raise ValueError("endpoints must be vertices in range(%d)" % (2 * n))
     if x == y:
         raise ValueError("endpoints must differ")
     r = n % 6

@@ -4,15 +4,11 @@ matrix, and cycle lifting through cyclic voltages."""
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import Graph, orbit_walk
+from .graphs import Graph, maps_rows, orbit_walk
 
 
 def is_automorphism(g, perm):
-    if sorted(perm) != list(range(g.n)):
-        return False
-    adj, image = g.adjacency, perm.__getitem__
-    return all(tuple(sorted(map(image, row))) == adj[perm[u]]
-               for u, row in enumerate(adj))
+    return sorted(perm) == list(range(g.n)) and maps_rows(perm, g.adjacency)
 
 
 def permutation_orbits(*perms):

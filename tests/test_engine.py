@@ -93,7 +93,7 @@ def test_certificate_round_trip():
 
 
 def test_petersen_is_the_exception():
-    # the exhaustive search settles it in 58 expansions, well inside even
+    # the exhaustive search settles it in 34 expansions, well inside even
     # a small budget
     for desc in (Descriptor("gp", (5, 2)), PETERSEN):
         with pytest.raises(NotHamiltonianException, match="exhaustive") as e:

@@ -26,6 +26,7 @@ from pqham.graphs import (
 from reference_graphs import (
     find_isomorphism,
     is_isomorphic,
+    reference_search,
     verify_hamilton_path,
 )
 
@@ -188,8 +189,51 @@ def test_search_expansions_psl2sub_9():
     start = min(range(g.n), key=g.degree)
     cyc, expansions = _search(g, start, None, 10**4)
     assert verify_hamilton_cycle(g, cyc)
-    assert expansions < 10**4
+    assert expansions == 1175
     assert hamilton_cycle(g, budget=10**4) == cyc
+
+
+def test_search_expansions_pinned():
+    # the search is deterministic, so its expansion counts are exact: the
+    # Petersen and gp(11,2) cycle absences, and all 231 pairs of gp(11,2),
+    # 44 of them absences
+    assert _search(PETERSEN, 0, None, 10**6) == (None, 34)
+    g = gp(11, 2)
+    assert _search(g, 0, None, 10**6) == (None, 658)
+    total = absent = 0
+    for x, y in combinations(range(22), 2):
+        path, expansions = _search(g, x, y, 10**6)
+        total += expansions
+        absent += expansions if path is None else 0
+    assert (total, absent) == (16382, 10428)
+
+
+def search_cases():
+    # seeded random graphs of order at most 12, each searched for a cycle
+    # and for a path between two random ends, and every pair of ends of
+    # gp(n,2) for n = 5..11
+    rnd = random.Random(2525)
+    for _ in range(2000):
+        n = rnd.randrange(3, 13)
+        g = random_graph(rnd, n, rnd.uniform(0.2, 0.7))
+        yield g, min(range(n), key=g.degree), None
+        yield (g, *rnd.sample(range(n), 2))
+    for n in range(5, 12):
+        g = gp(n, 2)
+        yield g, 0, None
+        for x, y in permutations(range(2 * n), 2):
+            yield g, x, y
+
+
+def test_search_agrees_with_the_reference_search():
+    # the pruning rules may only cut subtrees without a solution, so the
+    # first path found, or absence, is the reference's, in no more
+    # expansions
+    for g, start, target in search_cases():
+        path, expansions = _search(g, start, target, 10**6)
+        ref_path, ref_expansions = reference_search(g, start, target, 10**6)
+        assert path == ref_path, (g.adjacency, start, target)
+        assert expansions <= ref_expansions, (g.adjacency, start, target)
 
 
 def test_search_walks_the_unvisited_vertices_at_the_root():
@@ -211,6 +255,20 @@ def test_hamilton_path_examples():
     assert hamilton_path(g, 0, 1) is None  # disconnected
     with pytest.raises(ValueError):
         hamilton_path(p4, 2, 2)
+
+
+def test_path_ends_must_be_vertices():
+    # an end outside the graph is an error, not a proof of absence: the
+    # prism gp(5,1) has Hamilton paths
+    prism = gp(5, 1)
+    assert verify_hamilton_path(prism, hamilton_path(prism, 0, 9), 0, 9)
+    for u, v in ((0, 99), (-1, 3), (0, 10), (10, 0)):
+        with pytest.raises(ValueError, match="range"):
+            hamilton_path(prism, u, v)
+    for x, y in ((0, 22), (-1, 3), (22, 0), (3, -21)):
+        with pytest.raises(ValueError, match="range"):
+            gp2_path_admissible(11, x, y)
+    assert not gp2_path_admissible(11, 0, 1)
 
 
 def test_petersen_paths_nonadjacent_only():
