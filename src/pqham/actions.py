@@ -4,7 +4,7 @@ character model of PSL(2,p) acting on cosets of a maximal dihedral
 subgroup, and the quadric-point model of PSL(2,q^2) acting on cosets
 of PGL(2,q)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .field import (
@@ -16,7 +16,7 @@ from .field import (
     sqrt_mod,
     squares,
 )
-from .graphs import orbit_graph, orbit_walk, transversal
+from .graphs import Action, check_permutations, orbit_graph, orbit_walk
 from .quotients import permutation_orbits, quotient
 
 
@@ -136,44 +136,46 @@ class Suborbit:
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """A transitive action: generator permutations, the base point's
-    stabilizer generators, and the suborbit decomposition."""
+    """A transitive action: the graphs.Action of the generators, with
+    the suborbits as its partition, the base point's stabilizer
+    generators, and the suborbit decomposition."""
 
-    n: int
-    base: int
-    gens: tuple
+    action: Action = field(repr=False, compare=False)
     stab_gens: tuple
     suborbits: tuple
+
+    n = property(lambda self: len(self.action.order))
+    base = property(lambda self: self.action.base)
+    gens = property(lambda self: self.action.gens)
 
 
 def action_space(base, gens, stab_gens):
     """Build a CosetSpace on range(n), n the length of the generators:
     suborbits are the orbits of the stabilizer, and the suborbit paired
     with the one holding x = t(base) holds t^-1(base), t the word of the
-    transversal's tree taking base to x. Every generator must be a
-    permutation of range(n), and the stabilizer generators must fix
-    base."""
-    gens = tuple(tuple(g) for g in gens)
+    action's tree taking base to x. Every generator must be a
+    permutation of range(n), the generators must act transitively, and
+    the stabilizer generators must fix base."""
     stab_gens = tuple(tuple(g) for g in stab_gens)
-    moves = gens + stab_gens
     n = len(gens[0])
-    tree = transversal(moves, base)[1]
+    check_permutations(stab_gens, n)
+    orbits = [tuple(sorted(o)) for o in permutation_orbits(*stab_gens)]
+    action = Action(gens, base, orbits)
     if any(g[base] != base for g in stab_gens):
         raise ValueError("a stabilizer generator moves the base point")
-    inverses = [sorted(range(n), key=g.__getitem__) for g in moves]
-    orbits = [tuple(sorted(o)) for o in permutation_orbits(*stab_gens)]
+    inverses = [sorted(range(n), key=g.__getitem__) for g in action.gens]
     where = {v: i for i, orbit in enumerate(orbits) for v in orbit}
     subs = []
     for i, orbit in enumerate(orbits):
         x, point = base, orbit[0]
         while point != base:  # t^-1 undoes t's moves, last move first
-            gi, point = tree[point]
+            gi, point = action.tree[point]
             x = inverses[gi][x]
         subs.append(Suborbit(i, orbit, where[x]))
     for s in subs:
         if subs[s.paired].paired != s.index or subs[s.paired].size != s.size:
             raise AssertionError("inconsistent suborbit pairing")
-    return CosetSpace(n, base, gens, stab_gens, tuple(subs))
+    return CosetSpace(action, stab_gens, tuple(subs))
 
 
 def orbital_graph(space, union):
@@ -181,7 +183,7 @@ def orbital_graph(space, union):
     point to the suborbits with the given indices. orbit_graph proves the
     union closed under pairing and under the whole base stabilizer, and
     rejects the trivial suborbit."""
-    return orbit_graph(space.gens, space.base,
+    return orbit_graph(space.action,
                        [v for i in union for v in space.suborbits[i].points])
 
 
@@ -598,7 +600,8 @@ def split_edge_table(p):
 @dataclass(frozen=True)
 class OmegaModel:
     """The action on nonsingular projective points of the quadric, with
-    generators of the whole group, the order-q shift rho and its
+    the graphs.Action of generators of the whole group, partitioned by
+    half form value with the base, the order-q shift rho and its
     normalizer generators, the suborbit family indexed by the half form
     value, and the rho-block split into inner (x2 = 0) and outer
     blocks."""
@@ -607,14 +610,16 @@ class OmegaModel:
     p: int
     theta: int
     points: tuple
-    base: int
     suborbits: dict  # lam -> tuple of points (base excluded)
     blocks: tuple
     inner_blocks: tuple
     outer_blocks: tuple
     rho: tuple
     norm_gens: tuple
-    gens: tuple  # rho, tau and flip generate SL(2, q^2)
+    action: Action = field(repr=False, compare=False)
+
+    base = property(lambda self: self.action.base)
+    gens = property(lambda self: self.action.gens)  # rho, tau and flip
 
 
 def _form(x, y, q, theta):
@@ -704,15 +709,17 @@ def omega_model(q):
                   if all(points[v][1] == 0 for v in blk))
     outer = tuple(a for a in range(len(blocks)) if a not in inner)
     assert len(inner) == (q + 1) // 2 and len(outer) == q * (q - 1) // 2
-    return OmegaModel(q, p, theta, points, base, suborbits, blocks, inner,
-                      outer, rho, (delta, tau, rho), (rho, tau, flip))
+    action = Action((rho, tau, flip), base,
+                    [(base,)] + [suborbits[lam] for lam in sorted(suborbits)])
+    return OmegaModel(q, p, theta, points, suborbits, blocks, inner, outer,
+                      rho, (delta, tau, rho), action)
 
 
 def omega_graph(model, lam):
     """Orbital graph for the suborbit with half form value +-lam."""
     if lam not in model.suborbits:
         raise ValueError("no suborbit with value %r" % (lam,))
-    return orbit_graph(model.gens, model.base, model.suborbits[lam])
+    return orbit_graph(model.action, model.suborbits[lam])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ order p*q: metacirculants and the projective-line graphs over GF(2^(2^s))
 from dataclasses import dataclass
 
 from .field import is_prime
-from .graphs import orbit_graph
+from .graphs import Action, orbit_graph
 
 # fixed irreducible polynomials for GF(2^(2^s)), s = 1, 2, 3
 _IRREDUCIBLE = {4: 0b111, 16: 0b10011, 256: 0b100011011}
@@ -95,7 +95,7 @@ def metacirculant(spec):
     tails = _full_tails(spec)
     rho = [i * n + (r + 1) % n for i in range(m) for r in range(n)]
     sigma = [((i + 1) % m) * n + (a * r) % n for i in range(m) for r in range(n)]
-    g = orbit_graph((rho, sigma), 0,
+    g = orbit_graph(Action((rho, sigma), 0),
                     [h * n + t for h in range(m) for t in tails[h]])
     return g, rho, sigma
 
@@ -155,7 +155,8 @@ def fermat_graph(spec):
     rho = scale(N // q)
     row = [vid(INF, s) for s in spec.s_set] + \
         [vid(v, t) for v in range(INF) for t in spec.t_set]
-    return orbit_graph((scale(1), tau, phi, rho), vid(INF, 0), row), rho
+    return orbit_graph(Action((scale(1), tau, phi, rho), vid(INF, 0)),
+                       row), rho
 
 
 def parse_family_spec(text):

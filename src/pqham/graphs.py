@@ -2,6 +2,7 @@
 generalized Petersen machinery."""
 
 from bisect import bisect_left
+from operator import itemgetter
 
 DEFAULT_BUDGET = 10 ** 7  # search expansions before a search gives up
 
@@ -19,7 +20,7 @@ class Graph:
     automorphisms) takes adjacency rows as given and checks nothing; only
     orbit_graph calls it, once it has proven its rows sorted, symmetric
     and loop-free and every one of the given permutations an
-    automorphism. The graph records those in _automorphisms, as tuples;
+    automorphism. The graph records those in _automorphisms;
     Graph(n, edges) records none."""
 
     def __init__(self, n, edges=()):
@@ -39,11 +40,12 @@ class Graph:
     def _from_rows(cls, rows, automorphisms):
         """The graph whose row v is rows[v], a list of tuples it keeps. Each
         row must be strictly increasing, hold no v, and hold u exactly when
-        rows[u] holds v; each of automorphisms must be an automorphism."""
+        rows[u] holds v; automorphisms, a tuple of tuples it keeps, must
+        each be an automorphism."""
         g = cls.__new__(cls)
         g.n = len(rows)
         g.adjacency = rows
-        g._automorphisms = tuple(map(tuple, automorphisms))
+        g._automorphisms = automorphisms
         return g
 
     def degree(self, v):
@@ -112,17 +114,22 @@ def orbit_walk(start, moves, limit=float("inf")):
     return order, tree
 
 
+def check_permutations(perms, n):
+    """ValueError unless each of perms is a permutation of range(n)."""
+    points = set(range(n))
+    for perm in perms:
+        if len(perm) != n or set(perm) != points:
+            raise ValueError("a generator is not a permutation of "
+                             "range(%d)" % n)
+
+
 def transversal(gens, base):
     """orbit_walk from base along the permutations gens of range(n).
     ValueError when a generator is not a permutation of range(n), base is
     not in it, or the generators do not act transitively."""
     n = len(gens[0])
-    points = set(range(n))
-    for perm in gens:
-        if len(perm) != n or set(perm) != points:
-            raise ValueError("a generator is not a permutation of "
-                             "range(%d)" % n)
-    if base not in points:
+    check_permutations(gens, n)
+    if base not in range(n):
         raise ValueError("the base point is not in range(%d)" % n)
     order, tree = orbit_walk(base, [perm.__getitem__ for perm in gens])
     if len(order) != n:
@@ -130,22 +137,50 @@ def transversal(gens, base):
     return order, tree
 
 
-def orbit_graph(gens, base, row):
-    """The graph whose neighbourhood of base is row and which the group
-    generated by the permutations gens preserves: row is carried along
-    the transversal's tree of generator moves, N(g[u]) = g(N(u)), and the
-    result is proven. ValueError when transversal rejects gens and base,
-    row holds base or a point outside range(n), or one of the two proofs
-    fails. The graph records gens as proven automorphisms."""
-    order, tree = transversal(gens, base)
-    n = len(order)
+class Action:
+    """The transitive action of the permutations gens of range(n), walked
+    once: (order, tree) is transversal(gens, base), which raises
+    ValueError for generators it rejects. classes, when given, partitions
+    the points, the base's class among them; with at most 256 classes,
+    labels holds each point's class index as one byte, and otherwise it
+    is None. drawn and proven record how far orbit_graph has got with
+    proving the partition."""
+
+    __slots__ = ("gens", "base", "order", "tree", "labels", "drawn",
+                 "proven")
+
+    def __init__(self, gens, base, classes=None):
+        self.gens = tuple(map(tuple, gens))
+        self.base = base
+        self.order, self.tree = transversal(self.gens, base)
+        self.labels = None
+        if classes is not None and len(classes) <= 256:
+            labels = bytearray(len(self.order))
+            for i, points in enumerate(classes):
+                for v in points:
+                    labels[v] = i
+            self.labels = bytes(labels)
+        self.drawn = self.proven = False
+
+
+def orbit_graph(action, row):
+    """The graph whose neighbourhood of action.base is row and which the
+    action's group preserves: row is carried along the action's tree of
+    generator moves, N(g[u]) = g(N(u)), and the result is proven.
+    ValueError when row holds the base or a point outside range(n), or a
+    proof fails. The graph records the generators as proven
+    automorphisms. Invariance is proven by maps_rows, or by the
+    action's proven partition (_proven_union)."""
+    gens, base, tree = action.gens, action.base, action.tree
+    n = len(action.order)
     row = tuple(sorted(set(row)))
     if base in row or not set(range(n)).issuperset(row):
         raise ValueError("need a row of points other than the base point, "
                          "all in range(%d)" % n)
+    proven = _proven_union(action, row)
     rows = [None] * n
     rows[base] = row
-    for w in order[1:]:
+    for w in action.order[1:]:
         gi, u = tree[w]
         rows[w] = tuple(sorted(map(gens[gi].__getitem__, rows[u])))
     g = Graph._from_rows(rows, gens)
@@ -153,13 +188,60 @@ def orbit_graph(gens, base, row):
     # directed pairs form a group-invariant set that holds the base pairs
     # and lies in their orbit: they are exactly that orbit. Tree moves hold
     # by construction.
-    if not all(maps_rows(perm, rows, tree, gi)
-               for gi, perm in enumerate(gens)):
+    if not (proven or all(maps_rows(perm, rows, tree, gi)
+                          for gi, perm in enumerate(gens))):
         raise ValueError("the row is not invariant under the generators")
     # An invariant set of pairs is symmetric when its base row is.
     if not all(g.has_edge(x, base) for x in row):
         raise ValueError("the row is not closed under pairing")
     return g
+
+
+def _proven_union(action, row):
+    """Whether the action's partition is proven and row, which misses the
+    base, is a union of its classes, and so misses the base's class. The
+    first draw from an action proves nothing here, so a lone graph pays
+    no partition proof; the second proves the partition, once. A
+    partition that fails its proof is dropped, and later rows are proven
+    on their own."""
+    labels = action.labels
+    if labels is None or not action.drawn:
+        action.drawn = True
+        return False
+    if not action.proven:
+        if not partition_invariant(action):
+            action.labels = None
+            return False
+        action.proven = True
+    classes = set(map(labels.__getitem__, row))
+    return sum(map(labels.count, classes)) == len(row)
+
+
+def partition_invariant(action):
+    """Whether the generators preserve the action's partition of pairs:
+    (u, v) is in class labels[t^-1(v)], t the tree's word taking the base
+    to u. The row of class labels seen from each point is carried along
+    the tree, L[g[u]] = L[u] o g^-1, one gather by a precomputed
+    itemgetter of g^-1 a row; then every generator move outside the tree
+    must carry L[u] onto L[g[u]]. The n^2 label bytes are dropped on
+    return.
+
+    When it holds, the classes of pairs are invariant, and so is every
+    union of them: the row of such a union seen from u is then the
+    union's base row carried along the tree to u, which orbit_graph
+    builds."""
+    gens, tree, labels = action.gens, action.tree, action.labels
+    n = len(labels)
+    inverses = [itemgetter(*sorted(range(n), key=perm.__getitem__))
+                for perm in gens]
+    seen = [None] * n
+    seen[action.base] = labels
+    for w in action.order[1:]:
+        gi, u = tree[w]
+        seen[w] = bytes(inverses[gi](seen[u]))
+    return all(tree[w] == (gi, u) or seen[w] == bytes(inverse(seen[u]))
+               for gi, (perm, inverse) in enumerate(zip(gens, inverses))
+               for u, w in enumerate(perm))
 
 
 def maps_rows(perm, rows, tree=None, move=None):
@@ -380,7 +462,10 @@ def _offset_matches(d, c, n, symmetric):
 def gp2_path_admissible(n, x, y):
     """Whether a Hamilton path joining x and y is guaranteed in gp(n,2),
     with x,y in the 0..2n-1 labelling of gp. Five cases on n mod 6.
-    ValueError unless x and y are distinct vertices in range(2n)."""
+    ValueError unless gp(n,2) exists (n >= 3, n != 4) and x and y are
+    distinct vertices in range(2n)."""
+    if n < 3 or n == 4:
+        raise ValueError("gp(%d,2) does not exist" % n)
     if x not in range(2 * n) or y not in range(2 * n):
         raise ValueError("endpoints must be vertices in range(%d)" % (2 * n))
     if x == y:

@@ -1,10 +1,11 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
-from pqham import actions
+from pqham import actions, graphs
 from pqham.actions import (
     INF,
     PSL2_ID,
@@ -32,7 +33,14 @@ from pqham.actions import (
     suborbit_report,
 )
 from pqham.field import squares
-from pqham.graphs import Graph, hamilton_cycle, verify_hamilton_cycle
+from pqham.graphs import (
+    Action,
+    Graph,
+    hamilton_cycle,
+    orbit_graph,
+    partition_invariant,
+    verify_hamilton_cycle,
+)
 from pqham.quotients import (
     Symbol,
     is_automorphism,
@@ -289,20 +297,32 @@ def test_orbital_graph_rejects_half_of_paired_union():
         orbital_graph(m.space, (i,))
 
 
-def reference_orbital_graph(space, union):
-    """Closure of the edges from the base to each suborbit's first point
-    under the generators."""
-    edges = {tuple(sorted((space.base, space.suborbits[i].points[0])))
-             for i in union}
+def edge_orbit_closure(n, gens, base, ends):
+    """Closure of the edges from base to each of ends under the
+    generators."""
+    edges = {tuple(sorted((base, v))) for v in ends}
     frontier = list(edges)
     while frontier:
         u, v = frontier.pop()
-        for g in space.gens:
+        for g in gens:
             e = (g[u], g[v]) if g[u] < g[v] else (g[v], g[u])
             if e not in edges:
                 edges.add(e)
                 frontier.append(e)
-    return Graph(space.n, edges)
+    return Graph(n, edges)
+
+
+def reference_orbital_graph(space, union):
+    """Closure of the edges from the base to each suborbit's first point
+    under the generators."""
+    return edge_orbit_closure(space.n, space.gens, space.base,
+                              [space.suborbits[i].points[0] for i in union])
+
+
+def lone(space):
+    """space, or a quadric model, with an action record of its own that
+    has no partition, so that every draw from it is proven on its own."""
+    return replace(space, action=Action(space.gens, space.base))
 
 
 def closed_unions(space):
@@ -320,13 +340,26 @@ def a4_coset_space():
 
 
 def test_orbital_graph_equals_edge_orbit_closure():
+    # Each closed union is drawn once proven on its own, and twice from the
+    # space's own record: the first draw from that record proves itself,
+    # the second proves the partition, and every later draw is a union of
+    # its proven classes.
     for sp, classes in ((alternating_triple_space(), 3),
                         (dihedral_model(13).space, 9), (a4_coset_space(), 9)):
         unions = list(closed_unions(sp))
         assert len(unions) == 2 ** classes - 1
         for union in unions:
-            assert orbital_graph(sp, union) == \
-                reference_orbital_graph(sp, union), union
+            want = reference_orbital_graph(sp, union)
+            for source in (lone(sp), sp, sp):
+                assert orbital_graph(source, union) == want, union
+        assert sp.action.proven
+    m = omega_model(5)
+    for lam in (0, 1, 2):
+        want = edge_orbit_closure(len(m.points), m.gens, m.base,
+                                  m.suborbits[lam][:1])
+        for source in (lone(m), m, m):
+            assert omega_graph(source, lam) == want, lam
+    assert m.action.proven
 
 
 def test_orbital_graph_rejects_a_union_the_stabilizer_moves():
@@ -346,6 +379,77 @@ def test_orbital_graph_rejects_a_union_the_stabilizer_moves():
         bad = replace(sp, stab_gens=sp.stab_gens[:1], suborbits=tuple(subs))
         with pytest.raises(ValueError, match="not invariant"):
             orbital_graph(bad, (true.index,))
+
+
+def test_partition_proof_rejects_a_moved_point():
+    # Moving one point x of a suborbit A into another class B leaves a
+    # partition that the stabilizer does not preserve. Its proof fails, the
+    # record drops it, and every later row is proven on its own: A less x
+    # and B with x are rejected, and a true suborbit still draws.
+    sp = a4_coset_space()
+    for a, b in product(sp.suborbits, repeat=2):
+        if a.size == 1 or a == b:
+            continue
+        classes = [list(s.points) for s in sp.suborbits]
+        classes[b.index].append(classes[a.index].pop())
+        action = Action(sp.gens, sp.base, classes)
+        assert not partition_invariant(action)
+        kept = next(s.points for s in sp.suborbits if s.self_paired
+                    and s.size > 1 and s not in (a, b))
+        first = orbit_graph(action, kept)
+        with pytest.raises(ValueError, match="not invariant"):
+            orbit_graph(action, classes[a.index])
+        assert action.labels is None
+        if b.points != (sp.base,):
+            with pytest.raises(ValueError, match="not invariant"):
+                orbit_graph(action, classes[b.index])
+        assert orbit_graph(action, kept) == first
+
+
+def test_partition_path_rejects_what_it_cannot_prove():
+    m = dihedral_model(13)
+    sp = m.space
+    for name in (("axis", 1), ("axis", -1)):
+        orbital_graph(sp, (m.names[name],))
+    assert sp.action.proven
+    for s in sp.suborbits[1:]:
+        with pytest.raises(ValueError, match="not invariant"):
+            orbit_graph(sp.action, s.points[1:])
+        with pytest.raises(ValueError, match="base point"):
+            orbit_graph(sp.action, s.points + (sp.base,))
+    # a union of classes, so invariant, but not closed under pairing
+    with pytest.raises(ValueError, match="pairing"):
+        orbital_graph(sp, (m.names[("half", 1)],))
+    assert sp.action.proven
+
+
+def test_each_action_is_walked_once_and_its_partition_proven_once(
+        monkeypatch):
+    calls = Counter()
+    for name in ("transversal", "partition_invariant", "maps_rows"):
+        def counted(*args, name=name, fn=getattr(graphs, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    # a lone draw from a fresh space proves only itself
+    sp = dihedral_model(13).space
+    orbital_graph(sp, next(closed_unions(sp)))
+    assert calls == {"transversal": 1, "maps_rows": len(sp.gens)}
+    calls.clear()
+    sp = dihedral_model(13).space
+    for union in closed_unions(sp):
+        orbital_graph(sp, union)
+    assert calls == {"transversal": 1, "partition_invariant": 1,
+                     "maps_rows": len(sp.gens)}
+    calls.clear()
+    m = omega_model(5)
+    lams = sorted(m.suborbits)
+    for r in range(1, len(lams) + 1):
+        for union in combinations(lams, r):
+            orbit_graph(m.action, [v for lam in union
+                                   for v in m.suborbits[lam]])
+    assert calls == {"transversal": 1, "partition_invariant": 1,
+                     "maps_rows": len(m.gens)}
 
 
 def test_psl2_61_orbital_graph_retains_its_rows_alone():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqham.engine import Descriptor, build_instance
 from pqham.graphs import (
+    Action,
     BudgetExceeded,
     Graph,
     _search,
@@ -69,8 +70,8 @@ def test_has_edge_agrees_with_row_membership():
     graphs = [Graph(6, [(1, 2), (2, 4), (4, 5)]), Graph(1), Graph(0)]
     graphs += [random_graph(rnd, rnd.randrange(2, 25), rnd.random())
                for _ in range(60)]
-    graphs += [orbit_graph([ROT7], 0, {1, 6}),
-               orbit_graph([ROT7, DOUBLE7], 0, range(1, 7))]
+    graphs += [orbit_graph(Action([ROT7], 0), {1, 6}),
+               orbit_graph(Action([ROT7, DOUBLE7], 0), range(1, 7))]
     graphs += [build_instance(Descriptor(*d))[0]
                for d in (("omega", (5, 0)), ("dihedral", (13, "S7")),
                          ("triple", (18,)))]
@@ -85,36 +86,36 @@ def test_has_edge_agrees_with_row_membership():
 
 def test_a_graph_keeps_one_adjacency():
     for g in (Graph(4, [(0, 1), (2, 3)]), gp(7, 2),
-              orbit_graph([ROT7, DOUBLE7], 0, range(1, 7)),
+              orbit_graph(Action([ROT7, DOUBLE7], 0), range(1, 7)),
               build_instance(Descriptor("omega", (5, 0)))[0]):
         assert set(vars(g)) == {"n", "adjacency", "_automorphisms"}
         assert all(type(r) is tuple for r in g.adjacency)
 
 
 def test_orbit_graph_carries_the_base_row():
-    assert orbit_graph([ROT7], 0, {1, 6}) == cycle_graph(7)
+    assert orbit_graph(Action([ROT7], 0), {1, 6}) == cycle_graph(7)
     # the row may come in any order and any container
-    g = orbit_graph([ROT7, DOUBLE7], 0, (1, 2, 4, 3, 5, 6))
+    g = orbit_graph(Action([ROT7, DOUBLE7], 0), (1, 2, 4, 3, 5, 6))
     assert g == complete_graph(7)
-    assert orbit_graph([ROT7, DOUBLE7], 0, [1, 6, 2, 5, 4, 3]) == g
+    assert orbit_graph(Action([ROT7, DOUBLE7], 0), [1, 6, 2, 5, 4, 3]) == g
 
 
 def test_orbit_graph_rejects_what_it_cannot_prove():
     with pytest.raises(ValueError, match="not a permutation"):
-        orbit_graph([ROT7, [0, 0, 1, 2, 3, 4, 5]], 0, {1, 6})
+        orbit_graph(Action([ROT7, [0, 0, 1, 2, 3, 4, 5]], 0), {1, 6})
     with pytest.raises(ValueError, match="not a permutation"):
-        orbit_graph([ROT7, ROT7[:-1]], 0, {1, 6})
+        orbit_graph(Action([ROT7, ROT7[:-1]], 0), {1, 6})
     with pytest.raises(ValueError, match="transitively"):
-        orbit_graph([DOUBLE7], 1, {3, 4})
+        orbit_graph(Action([DOUBLE7], 1), {3, 4})
     for row in ({0, 1, 6}, {1, 7}, {-1, 1}):
         with pytest.raises(ValueError, match="base point"):
-            orbit_graph([ROT7], 0, row)
+            orbit_graph(Action([ROT7], 0), row)
     # {1, 6} is closed under pairing, but doubling moves it to {2, 5}
     with pytest.raises(ValueError, match="not invariant"):
-        orbit_graph([ROT7, DOUBLE7], 0, {1, 6})
+        orbit_graph(Action([ROT7, DOUBLE7], 0), {1, 6})
     # the rotation carries {1} to a directed 7-cycle
     with pytest.raises(ValueError, match="pairing"):
-        orbit_graph([ROT7], 0, {1})
+        orbit_graph(Action([ROT7], 0), {1})
 
 
 def assert_walk_tree(start, moves, order, tree):
@@ -269,6 +270,19 @@ def test_path_ends_must_be_vertices():
         with pytest.raises(ValueError, match="range"):
             gp2_path_admissible(11, x, y)
     assert not gp2_path_admissible(11, 0, 1)
+
+
+def test_gp2_admissible_only_where_gp2_exists():
+    # gp(n, 2) needs n >= 3 and, without collapse, n != 4
+    for n in range(1, 7):
+        try:
+            g = gp(n, 2)
+        except ValueError:
+            with pytest.raises(ValueError, match="does not exist"):
+                gp2_path_admissible(n, 0, 1)
+        else:
+            assert g.n == 2 * n
+            assert isinstance(gp2_path_admissible(n, 0, 1), bool)
 
 
 def test_petersen_paths_nonadjacent_only():
