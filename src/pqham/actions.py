@@ -540,7 +540,7 @@ def dihedral_row_data(model, row, xi=None):
 
 def empirical_row_data(model, row, union):
     """The same quotient data read off the constructed orbital graph."""
-    quot = quotient(orbital_graph(model.space, union), list(model.rho))
+    quot = quotient(orbital_graph(model.space, union), model.rho)
     block_of = {}
     for x, orbit in model.orbits.items():
         for v in orbit:
@@ -735,7 +735,7 @@ def omega_block_valencies(model, lam):
     g = omega_graph(model, lam)
     # quot.orbits are model.blocks: both are the cycles of rho in
     # permutation_orbits order
-    quot = quotient(g, list(model.rho))
+    quot = quotient(g, model.rho)
     inner, outer = model.inner_blocks, model.outer_blocks
     q = model.q
     eps = 2 if q % 8 in (1, 3) else 0

@@ -90,7 +90,7 @@ def _cycle_fits(g, cert):
     """The checks of verify that do not hash g."""
     if cert.order != g.n or cert.valency != g.valency():
         return False
-    return verify_hamilton_cycle(g, list(cert.cycle))
+    return verify_hamilton_cycle(g, cert.cycle)
 
 
 def format_certificate(cert):
@@ -195,11 +195,12 @@ def build_instance(desc):
     """(graph, semiregular automorphism or None) for a descriptor."""
     fam, params = desc.family, desc.params
     if fam == "metacirculant":
-        g, rho, _ = metacirculant(params[0])
-        return g, (list(rho) if is_prime(params[0].n) else None)
+        g, _, _ = metacirculant(params[0])
+        # rho as the tuple the graph recorded among its automorphisms
+        return g, (g._automorphisms[0] if is_prime(params[0].n) else None)
     if fam == "fermat":
-        g, rho = fermat_graph(params[0])
-        return g, list(rho)
+        g, _ = fermat_graph(params[0])
+        return g, g._automorphisms[3]  # rho, the action's last generator
     if fam == "gp":
         n, k = params
         g = gp(n, k)
@@ -214,8 +215,7 @@ def build_instance(desc):
             raise ValueError("no suborbit of size %r; have %s"
                              % (params[0], sorted(sizes)))
         g = orbital_graph(sp, (sizes[params[0]],))
-        rho = list(sp.gens[1])  # the 7-cycle acts (5,7)-semiregularly
-        return g, rho
+        return g, sp.gens[1]  # the 7-cycle acts (5,7)-semiregularly
     if fam == "dihedral":
         p, label = params
         model = _dihedral_model(p)
@@ -224,7 +224,7 @@ def build_instance(desc):
             raise ValueError("unknown union %r; have %s"
                              % (label, sorted(labels)))
         _, _, union = labels[label]
-        return orbital_graph(model.space, union), list(model.rho)
+        return orbital_graph(model.space, union), model.rho
     if fam == "psl2sub":
         *key, idx = params
         sp = _psl2_space(*key)
@@ -233,11 +233,11 @@ def build_instance(desc):
                              % (idx, len(sp.suborbits) - 1))
         sub = sp.suborbits[idx]
         union = (idx,) if sub.self_paired else (idx, sub.paired)
-        return orbital_graph(sp, union), list(sp.gens[0])
+        return orbital_graph(sp, union), sp.gens[0]
     if fam == "omega":
         q, lam = params
         model = _omega_model(q)
-        return omega_graph(model, lam), list(model.rho)
+        return omega_graph(model, lam), model.rho
     raise ValueError("unknown family %r" % fam)
 
 

@@ -180,9 +180,16 @@ def orbit_graph(action, row):
     proven = _proven_union(action, row)
     rows = [None] * n
     rows[base] = row
-    for w in action.order[1:]:
-        gi, u = tree[w]
-        rows[w] = tuple(sorted(map(gens[gi].__getitem__, rows[u])))
+    # Every row has the base row's length. One itemgetter gathers a row
+    # at C level; it needs two or more indices to return a tuple.
+    if len(row) > 1:
+        for w in action.order[1:]:
+            gi, u = tree[w]
+            rows[w] = tuple(sorted(itemgetter(*rows[u])(gens[gi])))
+    else:
+        for w in action.order[1:]:
+            gi, u = tree[w]
+            rows[w] = tuple(map(gens[gi].__getitem__, rows[u]))
     g = Graph._from_rows(rows, gens)
     # Every generator maps each row onto the row of its image, so the
     # directed pairs form a group-invariant set that holds the base pairs
@@ -264,8 +271,7 @@ def verify_hamilton_cycle(g, cycle):
     """True iff cycle is a Hamilton cycle of g."""
     if cycle is None or g.n < 3 or sorted(cycle) != list(range(g.n)):
         return False
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % g.n])
-               for i in range(g.n))
+    return all(map(g.has_edge, cycle, cycle[1:] + cycle[:1]))
 
 
 def _search(g, start, target, budget):

@@ -2,6 +2,7 @@
 matrix, and cycle lifting through cyclic voltages."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import is_prime
 from .graphs import Graph, maps_rows, orbit_walk
@@ -65,21 +66,34 @@ class Quotient:
         return len(self.symbol.sets[a][b])
 
 
+@lru_cache(maxsize=4)
+def _cycles(perm):
+    """(cycles, pos) of the permutation perm, a tuple: its cycles as
+    permutation_orbits lists them, and pos[v] = (a, t) when v is the t-th
+    point of cycle a. ValueError, before anything is cached, unless the
+    cycles share one length n >= 2."""
+    orbs = permutation_orbits(perm)
+    if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:
+        raise ValueError("permutation is not semiregular on the graph")
+    pos = [None] * len(perm)
+    for a, orb in enumerate(orbs):
+        for t, v in enumerate(orb):
+            pos[v] = (a, t)
+    return tuple(map(tuple, orbs)), tuple(pos)
+
+
 def quotient(g, perm):
     """The quotient of g by perm, with its symbol, read off one pass over
     each orbit's base adjacency. ValueError unless perm is a
     g-automorphism whose cycles all share one length n >= 2. A perm that
-    g records as a proven automorphism is not checked again."""
-    if tuple(perm) not in g._automorphisms and not is_automorphism(g, perm):
+    g records as a proven automorphism is not checked again; the cycles
+    of the last few permutations are kept, so graphs that share one
+    perm walk its cycles once."""
+    perm = tuple(perm)
+    if perm not in g._automorphisms and not is_automorphism(g, perm):
         raise ValueError("permutation is not an automorphism of the graph")
-    orbs = permutation_orbits(perm)
-    if len({len(o) for o in orbs}) != 1 or len(orbs[0]) < 2:
-        raise ValueError("permutation is not semiregular on the graph")
+    orbs, pos = _cycles(perm)
     m, n = len(orbs), len(orbs[0])
-    pos = [None] * g.n
-    for a, orb in enumerate(orbs):
-        for t, v in enumerate(orb):
-            pos[v] = (a, t)
     sets = [[set() for _ in range(m)] for _ in range(m)]
     for a, orb in enumerate(orbs):
         row = sets[a]
@@ -90,7 +104,7 @@ def quotient(g, perm):
              if sets[a][b]]
     sym = Symbol(n, tuple(o[0] for o in orbs),
                  tuple(tuple(frozenset(s) for s in row) for row in sets))
-    return Quotient(Graph(m, edges), tuple(map(tuple, orbs)), sym)
+    return Quotient(Graph(m, edges), orbs, sym)
 
 
 def format_symbol(sym):

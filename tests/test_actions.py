@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pqham import actions, graphs
+from pqham import actions, graphs, quotients
 from pqham.actions import (
     INF,
     PSL2_ID,
@@ -450,6 +450,40 @@ def test_each_action_is_walked_once_and_its_partition_proven_once(
                                    for v in m.suborbits[lam]])
     assert calls == {"transversal": 1, "partition_invariant": 1,
                      "maps_rows": len(m.gens)}
+
+
+def test_quotient_walks_each_rho_once(monkeypatch):
+    # quotient keeps the cycles of its last few permutations: every graph
+    # drawn from one model shares its rho, whose cycles are walked once
+    m13, m5 = dihedral_model(13), omega_model(5)
+    graphs_by_rho = [
+        (m13.rho, [orbital_graph(m13.space, union)
+                   for union in closed_unions(m13.space)]),
+        (m5.rho, [omega_graph(m5, lam) for lam in (0, 1, 2)])]
+    walks = Counter()
+
+    def counted(*perms, fn=quotients.permutation_orbits):
+        walks[perms] += 1
+        return fn(*perms)
+    quotients._cycles.cache_clear()
+    monkeypatch.setattr(quotients, "permutation_orbits", counted)
+    got = [quotient(g, rho) for rho, gs in graphs_by_rho for g in gs]
+    assert walks == {(m13.rho,): 1, (m5.rho,): 1}
+    fresh = []
+    for rho, gs in graphs_by_rho:
+        for g in gs:
+            quotients._cycles.cache_clear()
+            fresh.append(quotient(g, rho))
+    assert got == fresh
+    # a proven automorphism with fixed points is rejected on every call,
+    # since nothing is cached for it
+    g = graphs_by_rho[0][1][0]
+    flip = m13.space.gens[1]
+    assert flip in g._automorphisms
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not semiregular"):
+            quotient(g, flip)
+    assert walks[(flip,)] == 2
 
 
 def test_psl2_61_orbital_graph_retains_its_rows_alone():

@@ -100,6 +100,19 @@ def test_orbit_graph_carries_the_base_row():
     assert orbit_graph(Action([ROT7, DOUBLE7], 0), [1, 6, 2, 5, 4, 3]) == g
 
 
+def test_orbit_graph_gathers_rows_of_every_length():
+    # the carry gathers a row with one itemgetter, which returns a bare
+    # item for one index and needs at least one: rows of length 0 and 1
+    # are carried without it
+    rot = [(v + 1) % 10 for v in range(10)]
+    for row, edges in (([], []),
+                       ([5], [(v, v + 5) for v in range(5)]),
+                       ([1, 9], [(v, (v + 1) % 10) for v in range(10)])):
+        g = orbit_graph(Action([rot], 0), row)
+        want = Graph(10, edges)
+        assert g == want and g.adjacency == want.adjacency, row
+
+
 def test_orbit_graph_rejects_what_it_cannot_prove():
     with pytest.raises(ValueError, match="not a permutation"):
         orbit_graph(Action([ROT7, [0, 0, 1, 2, 3, 4, 5]], 0), {1, 6})
@@ -167,6 +180,10 @@ def test_verify_hamilton_cycle_rejects_out_of_range_vertices():
     assert verify_hamilton_cycle(triangle, [2, 0, 1])
     for cyc in ([5, 0, 1], [0, 1, 5], [0, 1, -1], [0, 1], [0, 1, 1]):
         assert not verify_hamilton_cycle(triangle, cyc)
+    # the closing edge, from the last vertex back to the first, is checked
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not verify_hamilton_cycle(path, [0, 1, 2, 3])
+    assert verify_hamilton_cycle(cycle_graph(4), (0, 1, 2, 3))
 
 
 def test_hamilton_cycle_edge_cases():
