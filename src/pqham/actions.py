@@ -285,8 +285,9 @@ def psl2_coset_space(p, subgroup, sub_gens):
 
 
 def alternating_triple_space():
-    """The alternating group on 7 letters, generated by (0 1 2) and the
-    7-cycle, acting on the 35 unordered 3-subsets. Triple 0 is {0, 1, 2};
+    """The alternating group on 7 letters, generated by the 7-cycle and
+    (0 1 2), acting on the 35 unordered 3-subsets; the 7-cycle acts
+    (5,7)-semiregularly. Triple 0 is {0, 1, 2};
     its stabilizer, of order 72, is generated by (0 1 2), (3 4 5),
     (4 5 6) and (0 1)(3 4)."""
     triples = list(combinations(range(7), 3))
@@ -300,7 +301,7 @@ def alternating_triple_space():
     rot7 = (1, 2, 3, 4, 5, 6, 0)
     stab = (rot3, (0, 1, 2, 4, 5, 3, 6), (0, 1, 2, 3, 5, 6, 4),
             (1, 0, 2, 4, 3, 5, 6))
-    return action_space(0, (induced(rot3), induced(rot7)),
+    return action_space(0, (induced(rot7), induced(rot3)),
                         tuple(map(induced, stab)))
 
 
@@ -341,13 +342,14 @@ def _pair_label(z1, z2, p):
 @dataclass(frozen=True)
 class DihedralModel:
     """The dihedral-coset action in character coordinates, with the
-    analytic suborbit family and the order-p shift rho."""
+    analytic suborbit family and the order-p shift rho, gens[0]."""
 
     p: int
     space: CosetSpace
     names: dict  # analytic name -> suborbit index
-    rho: tuple
     orbits: dict  # x (canonical) or INF -> tuple of points
+
+    rho = property(lambda self: self.space.gens[0])
 
 
 def _suborbit_names(p):
@@ -416,7 +418,7 @@ def dihedral_model(p):
             x = min(e for lab in orbit if lab != 0
                     for e in [labels[lab][1]] if labels[lab][0] == 0)
             orbits[x] = orbit
-    return DihedralModel(p, space, names, rho, orbits)
+    return DihedralModel(p, space, names, orbits)
 
 
 def dihedral_row_unions(model):
@@ -601,9 +603,9 @@ def split_edge_table(p):
 class OmegaModel:
     """The action on nonsingular projective points of the quadric, with
     the graphs.Action of generators of the whole group, partitioned by
-    half form value with the base, the order-q shift rho and its
-    normalizer generators, the suborbit family indexed by the half form
-    value, and the rho-block split into inner (x2 = 0) and outer
+    half form value with the base, the order-q shift rho = gens[0] and
+    its normalizer generators, the suborbit family indexed by the half
+    form value, and the rho-block split into inner (x2 = 0) and outer
     blocks."""
 
     q: int
@@ -614,12 +616,12 @@ class OmegaModel:
     blocks: tuple
     inner_blocks: tuple
     outer_blocks: tuple
-    rho: tuple
     norm_gens: tuple
     action: Action = field(repr=False, compare=False)
 
     base = property(lambda self: self.action.base)
     gens = property(lambda self: self.action.gens)  # rho, tau and flip
+    rho = property(lambda self: self.action.gens[0])
 
 
 def _form(x, y, q, theta):
@@ -712,7 +714,7 @@ def omega_model(q):
     action = Action((rho, tau, flip), base,
                     [(base,)] + [suborbits[lam] for lam in sorted(suborbits)])
     return OmegaModel(q, p, theta, points, suborbits, blocks, inner, outer,
-                      rho, (delta, tau, rho), action)
+                      (delta, tau, rho), action)
 
 
 def omega_graph(model, lam):

@@ -169,10 +169,6 @@ def _cmd_suborbits(args, parser):
 def _cmd_quotient(args, parser):
     desc = _descriptor(args, parser)
     g, rho = _instance(desc)
-    if rho is None:
-        print("no semiregular automorphism available for %s" % desc,
-              file=sys.stderr)
-        return 1
     try:
         q = quotient(g, rho)
     except ValueError:

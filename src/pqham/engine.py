@@ -192,22 +192,19 @@ def _omega_model(q):
 
 
 def build_instance(desc):
-    """(graph, semiregular automorphism or None) for a descriptor."""
+    """(graph, rho) for a descriptor: gp's rotation, else the first
+    generator of the action orbit_graph built the graph from."""
     fam, params = desc.family, desc.params
-    if fam == "metacirculant":
-        g, _, _ = metacirculant(params[0])
-        # rho as the tuple the graph recorded among its automorphisms
-        return g, (g._automorphisms[0] if is_prime(params[0].n) else None)
-    if fam == "fermat":
-        g, _ = fermat_graph(params[0])
-        return g, g._automorphisms[3]  # rho, the action's last generator
     if fam == "gp":
         n, k = params
-        g = gp(n, k)
         rho = [(v + 1) % n if v < n else n + (v - n + 1) % n
                for v in range(2 * n)]
-        return g, (rho if is_prime(n) else None)
-    if fam == "triple":
+        return gp(n, k), rho
+    if fam == "metacirculant":
+        g = metacirculant(params[0])
+    elif fam == "fermat":
+        g = fermat_graph(params[0])
+    elif fam == "triple":
         sp = _triple_space()
         sizes = {s.size: s.index for s in sp.suborbits
                  if s.points != (sp.base,)}
@@ -215,8 +212,7 @@ def build_instance(desc):
             raise ValueError("no suborbit of size %r; have %s"
                              % (params[0], sorted(sizes)))
         g = orbital_graph(sp, (sizes[params[0]],))
-        return g, sp.gens[1]  # the 7-cycle acts (5,7)-semiregularly
-    if fam == "dihedral":
+    elif fam == "dihedral":
         p, label = params
         model = _dihedral_model(p)
         labels = dihedral_union_labels(model)
@@ -224,8 +220,8 @@ def build_instance(desc):
             raise ValueError("unknown union %r; have %s"
                              % (label, sorted(labels)))
         _, _, union = labels[label]
-        return orbital_graph(model.space, union), model.rho
-    if fam == "psl2sub":
+        g = orbital_graph(model.space, union)
+    elif fam == "psl2sub":
         *key, idx = params
         sp = _psl2_space(*key)
         if not 0 <= idx < len(sp.suborbits):
@@ -233,12 +229,13 @@ def build_instance(desc):
                              % (idx, len(sp.suborbits) - 1))
         sub = sp.suborbits[idx]
         union = (idx,) if sub.self_paired else (idx, sub.paired)
-        return orbital_graph(sp, union), sp.gens[0]
-    if fam == "omega":
+        g = orbital_graph(sp, union)
+    elif fam == "omega":
         q, lam = params
-        model = _omega_model(q)
-        return omega_graph(model, lam), model.rho
-    raise ValueError("unknown family %r" % fam)
+        g = omega_graph(_omega_model(q), lam)
+    else:
+        raise ValueError("unknown family %r" % fam)
+    return g, g._automorphisms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +282,16 @@ def prove(desc, budget=DEFAULT_BUDGET):
     Raises NotHamiltonianException when a completed search proves that
     the graph has none, and ProofFailure when the graph is disconnected
     or the search exhausts its budget. The cycle is a lifted quotient
-    cycle when the instance's automorphism is semiregular and one lifts
+    cycle when rho is semiregular of prime orbit length and one lifts
     fully, else the direct search's; each search gets budget expansions."""
     g, rho = build_instance(desc)
     trace = ["descriptor=%s" % desc]
-    cycle, strategy, q = None, None, None
-    if rho is not None:
-        try:
-            q = quotient(g, rho)
-        except ValueError:
-            pass  # rho is not semiregular: no quotient strategy applies
-    if q is not None:
+    cycle = None
+    try:
+        q = quotient(g, rho)
+    except ValueError:
+        pass  # rho is not semiregular: no quotient strategy applies
+    else:
         try:
             cycle = _quotient_lift(g, q, trace, budget)
         except BudgetExceeded:

@@ -1,6 +1,7 @@
 """Constructors for the two imprimitive vertex-transitive families of
 order p*q: metacirculants and the projective-line graphs over GF(2^(2^s))
-("Fermat graphs"), each with its distinguished semiregular automorphism."""
+("Fermat graphs"). Each graph records its distinguished semiregular
+automorphism as the first generator of its action."""
 
 from dataclasses import dataclass
 
@@ -87,17 +88,16 @@ def _full_tails(spec):
 
 def metacirculant(spec):
     """Graph on m*n vertices v_i^r (vertex i*n+r), edge rule
-    v_i^r ~ v_j^s iff s-r in alpha^i T_{j-i}; returns (graph, rho, sigma)
-    with rho the (m,n)-semiregular rotation and sigma the orbit shift.
-    Both are automorphisms and act transitively, so the graph is the one
-    they carry from the neighbourhood {v_h^t : t in T_h} of v_0^0."""
+    v_i^r ~ v_j^s iff s-r in alpha^i T_{j-i}. The (m,n)-semiregular
+    rotation rho and the orbit shift sigma are automorphisms and act
+    transitively, so the graph is the one they carry from the
+    neighbourhood {v_h^t : t in T_h} of v_0^0; it records (rho, sigma)."""
     m, n, a = spec.m, spec.n, spec.alpha
     tails = _full_tails(spec)
     rho = [i * n + (r + 1) % n for i in range(m) for r in range(n)]
     sigma = [((i + 1) % m) * n + (a * r) % n for i in range(m) for r in range(n)]
-    g = orbit_graph(Action((rho, sigma), 0),
-                    [h * n + t for h in range(m) for t in tails[h]])
-    return g, rho, sigma
+    return orbit_graph(Action((rho, sigma), 0),
+                       [h * n + t for h in range(m) for t in tails[h]])
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,15 @@ def fermat_graph(spec):
     its field bitmask (infinity as p-1), vertex v*q + r, logs taken to
     the smallest generator w. (v, r) ~ (v, r+s) for every point v and s
     in S; for t in T, (inf, r) ~ (v, r+t) and (v, a) ~ (v + w^i, b) when
-    a + b = t + 2i. Returns (graph, rho) with rho the (p,q)-semiregular
-    automorphism sigma^((p-2)/q).
+    a + b = t + 2i.
 
     The graph is the one carried from the row of (inf, 0) by sigma:
     (v, r) -> (v*w, r+1), tau: (v, r) -> (v+1, r) and phi: (v, r) ->
     (1/v, r - 2 log v), (0, r) <-> (inf, -r). On the line these are
     x -> wx, x+1 and 1/x, which generate PSL(2, p-1), so the action is
-    transitive; orbit_graph proves them and rho automorphisms."""
+    transitive. rho = sigma^((p-2)/q) is (p,q)-semiregular; orbit_graph
+    proves rho, sigma, tau and phi automorphisms, and the graph records
+    them in that order."""
     p, q = spec.p, spec.q
     powers = _gf_powers(p - 1)
     log = {x: i for i, x in enumerate(powers)}
@@ -155,8 +156,7 @@ def fermat_graph(spec):
     rho = scale(N // q)
     row = [vid(INF, s) for s in spec.s_set] + \
         [vid(v, t) for v in range(INF) for t in spec.t_set]
-    return orbit_graph(Action((scale(1), tau, phi, rho), vid(INF, 0)),
-                       row), rho
+    return orbit_graph(Action((rho, scale(1), tau, phi), vid(INF, 0)), row)
 
 
 def parse_family_spec(text):

@@ -55,6 +55,21 @@ def test_quotient_command(capsys, tmp_path):
     assert captured.err.count("\n") == 1 and "not semiregular" in captured.err
 
 
+def test_quotient_command_composite_orbit_length(capsys, tmp_path):
+    # the rotations of gp(8,3) and of a metacirculant with n = 9 are
+    # semiregular though their orbit length is not prime
+    spec = tmp_path / "m.spec"
+    spec.write_text("family=metacirculant\nm=2\nn=9\nalpha=8\n"
+                    "T0=1,8\nT1=0,3\n")
+    for argv, head in (
+            (["--family", "gp", "--n", "8", "--k", "3"],
+             "orbits=2 orbit_length=8\nd_in=2,2\n"),
+            (["--family", "metacirculant", "--spec", str(spec)],
+             "orbits=2 orbit_length=9\nd_in=2,2\n")):
+        code, out = run(capsys, "quotient", *argv)
+        assert code == 0 and out.startswith(head)
+
+
 def test_hamilton_certificate_verifies(capsys):
     from pqham.engine import Descriptor, build_instance
     # the second is the order-1891 action of PSL(2,61) on A5 cosets

@@ -21,7 +21,7 @@ from pqham.engine import (
     verify,
 )
 from pqham.actions import orbital_graph, psl2_coset_space, psl2_subgroup_scan
-from pqham.families import MetacirculantSpec
+from pqham.families import FermatSpec, MetacirculantSpec
 from pqham.graphs import BudgetExceeded, Graph, gp
 
 
@@ -31,12 +31,26 @@ PETERSEN = Descriptor(
 
 
 def test_build_instance_families():
-    g, rho = build_instance(Descriptor("gp", (7, 2)))
-    assert g.n == 14 and rho is not None
-    g, rho = build_instance(Descriptor("triple", (4,)))
-    assert g.n == 35 and g.valency() == 4
-    g, rho = build_instance(Descriptor("dihedral", (13, "S7")))
-    assert g.n == 91 and g.valency() == 6
+    # every family orbit_graph builds hands on the first generator the
+    # graph records as rho
+    for desc, order, valency in [
+            (PETERSEN, 10, 3),
+            (Descriptor("fermat", (FermatSpec(5, 3, frozenset(),
+                                              frozenset({1})),)), 15, 4),
+            (Descriptor("triple", (4,)), 35, 4),
+            (Descriptor("dihedral", (13, "S7")), 91, 6),
+            (Descriptor("psl2sub", (13, 2, 3, 3, 12, 3)), 91, 12),
+            (Descriptor("omega", (5, 0)), 65, 10)]:
+        g, rho = build_instance(desc)
+        assert (g.n, g.valency()) == (order, valency), desc
+        assert rho is g._automorphisms[0], desc
+    # gp is built edge by edge and hands on its rotation, for a composite
+    # n too
+    for n, k in ((7, 2), (8, 3)):
+        g, rho = build_instance(Descriptor("gp", (n, k)))
+        assert g == gp(n, k) and g._automorphisms == ()
+        assert rho == [(v + 1) % n if v < n else n + (v - n + 1) % n
+                       for v in range(2 * n)]
     with pytest.raises(ValueError):
         build_instance(Descriptor("dihedral", (13, "S99")))
     with pytest.raises(ValueError):

@@ -54,7 +54,8 @@ def test_gf2k_arithmetic():
 
 
 def test_metacirculant_petersen():
-    g, rho, sigma = metacirculant(PET_SPEC)
+    g = metacirculant(PET_SPEC)
+    rho, sigma = g._automorphisms
     assert g == gp(5, 2)
     q = quotient(g, rho)
     assert (q.m, q.n) == (2, 5)
@@ -65,7 +66,8 @@ def test_metacirculant_petersen():
 
 def test_metacirculant_circulant():
     spec = MetacirculantSpec(1, 7, 1, (frozenset({1, 6}),))
-    g, rho, sigma = metacirculant(spec)
+    g = metacirculant(spec)
+    rho, sigma = g._automorphisms
     c7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
     assert g == c7
     q = quotient(g, rho)
@@ -93,7 +95,8 @@ def test_metacirculant_transitive_family():
         MetacirculantSpec(4, 5, 2, (frozenset({1, 4}), frozenset({0}),
                                     frozenset({1, 2, 3, 4}))),
     ]:
-        g, rho, sigma = metacirculant(spec)
+        g = metacirculant(spec)
+        rho, sigma = g._automorphisms
         q = quotient(g, rho)
         assert (q.m, q.n) == (spec.m, spec.n)
         assert is_automorphism(g, sigma)
@@ -105,14 +108,15 @@ def test_metacirculant_equals_edge_rule():
     rnd = random.Random(14)
     for _ in range(300):
         spec = random_metacirculant_spec(rnd)
-        assert metacirculant(spec)[0] == edge_rule_metacirculant(spec), spec
+        assert metacirculant(spec) == edge_rule_metacirculant(spec), spec
 
 
 FERMAT_53 = FermatSpec(5, 3, frozenset(), frozenset({1}))
 
 
 def test_fermat_smallest_is_line_graph_of_petersen():
-    g, rho = fermat_graph(FERMAT_53)
+    g = fermat_graph(FERMAT_53)
+    rho = g._automorphisms[0]
     assert g.n == 15 and g.is_regular() and g.valency() == 4
     assert is_isomorphic(g, line_graph(gp(5, 2)))
     q = quotient(g, rho)
@@ -130,8 +134,8 @@ def test_fermat_block_quotient_complete():
     for spec in [FERMAT_53,
                  FermatSpec(17, 3, frozenset(), frozenset({1})),
                  FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2}))]:
-        g, rho = fermat_graph(spec)
-        q = quotient(g, rho)
+        g = fermat_graph(spec)
+        q = quotient(g, g._automorphisms[0])
         assert (q.m, q.n) == (spec.p, spec.q)
         assert fiber_quotient(g, spec.q) == complete_graph(spec.p)
 
@@ -139,15 +143,15 @@ def test_fermat_block_quotient_complete():
 def test_fermat_orbit_quotient_is_not_complete():
     # the orbit quotient of the semiregular shift differs from the
     # fiber-block quotient: not every pair of orbits is joined
-    g, rho = fermat_graph(FERMAT_53)
-    q = quotient(g, rho)
+    g = fermat_graph(FERMAT_53)
+    q = quotient(g, g._automorphisms[0])
     pairs = [(a, b) for a, b in combinations(range(5), 2) if q.d(a, b) == 0]
     assert pairs
 
 
 def test_fermat_vertex_transitive_small():
     for spec in [FERMAT_53, FermatSpec(17, 3, frozenset(), frozenset({1}))]:
-        g, _ = fermat_graph(spec)
+        g = fermat_graph(spec)
         p, q = spec.p, spec.q
         base = (p - 1) * q  # (infinity, 0)
         for target in [0] + [q + r for r in range(q)]:
@@ -159,10 +163,10 @@ def test_fermat_equals_edge_rule():
     assert len(specs) == 4 + 4 + 56
     specs.append(FermatSpec(257, 3, frozenset({1, 2}), frozenset({2})))
     for spec in specs:
-        g, rho = fermat_graph(spec)
+        g = fermat_graph(spec)
         assert g == edge_rule_fermat(spec), spec
-        assert rho == fermat_shift_power(spec), spec
-        assert tuple(rho) in g._automorphisms
+        # the first automorphism the graph records is the shift power
+        assert g._automorphisms[0] == tuple(fermat_shift_power(spec)), spec
 
 
 def test_fermat_validation():

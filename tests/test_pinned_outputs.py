@@ -13,6 +13,7 @@ from pqham.engine import (
     NotHamiltonianException,
     _omega_model,
     _psl2_space,
+    build_instance,
     format_certificate,
     prove,
     survey_descriptors,
@@ -64,6 +65,14 @@ def test_survey_certificates_pinned():
         except NotHamiltonianException:
             got[str(d)] = "NotHamiltonianException"
     assert got == SURVEY_255
+
+
+def test_rho_pinned():
+    # the semiregular automorphism build_instance hands the quotient, for
+    # every survey descriptor and gp(7,2)
+    descs = survey_descriptors(255) + [Descriptor("gp", (7, 2))]
+    text = repr([(str(d), tuple(build_instance(d)[1])) for d in descs])
+    assert digest(text) == "771603f88093c3f0"
 
 
 def test_large_actions_certificates_pinned():

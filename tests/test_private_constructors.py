@@ -4,7 +4,9 @@ graphs.orbit_graph, which the orbital, quadric, metacirculant and Fermat
 graph builders call; families.py and actions.py build no graph any
 other way. The automorphisms a graph records in _automorphisms skip the
 check in quotients.quotient, so they too are set only in graphs.py, by
-_from_rows for the generators orbit_graph has proven."""
+_from_rows for the generators orbit_graph has proven. Besides quotient,
+only engine.build_instance reads them, taking the first as rho, so rho
+is picked in one place."""
 
 import ast
 from pathlib import Path
@@ -69,3 +71,10 @@ def test_recorded_automorphisms_set_only_by_graphs():
     found = {path.name for path in src.glob("*.py")
              if stores_of(ast.parse(path.read_text()), "_automorphisms")}
     assert found == ALLOWED
+
+
+def test_recorded_automorphisms_read_only_by_quotients_and_engine():
+    src = Path(pqham.__file__).parent
+    found = {path.name for path in src.glob("*.py")
+             if uses_of(ast.parse(path.read_text()), "_automorphisms")}
+    assert found == ALLOWED | {"quotients.py", "engine.py"}
