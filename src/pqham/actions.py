@@ -13,8 +13,8 @@ from .field import (
     classify,
     is_prime,
     primitive_roots,
+    root_counts,
     sqrt_mod,
-    squares,
 )
 from .graphs import Action, check_permutations, orbit_graph, orbit_walk
 from .quotients import permutation_orbits, quotient
@@ -354,27 +354,28 @@ class DihedralModel:
 
 def _suborbit_names(p):
     """Analytic suborbit family: name -> set of point labels."""
-    sq = squares(p)
+    h = root_counts(p)
     half = (p + 1) // 2
+    # the units e that are squares (sign 1) and nonsquares (sign -1)
+    units = {1: [e for e in range(1, p) if h[e]],
+             -1: [e for e in range(1, p) if not h[e]]}
     fam = {("trivial",): {INF}}
-    fam[("axis", 1)] = {(c, e) for c in (0, 1) for e in sq}
-    fam[("axis", -1)] = {(c, e) for c in (0, 1) for e in range(1, p)
-                         if e not in sq}
+    for sign in (1, -1):
+        fam[("axis", sign)] = {(c, e) for c in (0, 1) for e in units[sign]}
     seen = set()
     for xi in range(2, p):
         if xi in seen:
             continue
         seen.update({xi, (1 - xi) % p})
-        pts = lambda cls: {_char_class(xi, e, p) for e in range(1, p)
-                           if classify(e, p) == cls}
+        pts = lambda sign: {_char_class(xi, e, p) for e in units[sign]}
         if xi == half:
-            fam[("half", 1)] = pts(SQUARE)
-            fam[("half", -1)] = pts(NONSQUARE)
-        elif classify((pow(xi, -1, p) - 1) % p, p) == NONSQUARE:
-            fam[("one", xi)] = pts(SQUARE) | pts(NONSQUARE)
+            fam[("half", 1)] = pts(1)
+            fam[("half", -1)] = pts(-1)
+        elif not h[(pow(xi, -1, p) - 1) % p]:
+            fam[("one", xi)] = pts(1) | pts(-1)
         else:
-            fam[("split", xi, 1)] = pts(SQUARE)
-            fam[("split", xi, -1)] = pts(NONSQUARE)
+            fam[("split", xi, 1)] = pts(1)
+            fam[("split", xi, -1)] = pts(-1)
     return fam
 
 
@@ -427,13 +428,13 @@ def dihedral_row_unions(model):
     axis unions, row 5 (resp. 6-7) the doubled (resp. single) halves,
     rows 8-9 single split suborbits."""
     p = model.p
-    sq = squares(p)
+    h = root_counts(p)
     out = []
     for name, i in sorted(model.names.items()):
         kind = name[0]
         if kind == "one":
             xi = name[1]
-            row = 1 if (xi in sq) != ((xi - 1) % p in sq) else 2
+            row = 1 if h[xi] != h[xi - 1] else 2
             out.append((row, xi, (i,)))
         elif kind == "axis":
             out.append((3 if name[1] == 1 else 4, None, (i,)))
@@ -444,7 +445,7 @@ def dihedral_row_unions(model):
             else:
                 out.append((6, (p + 1) // 2, (i,)))
                 out.append((7, (p + 1) // 2, (j,)))
-        elif kind == "split" and name[1] in sq and (name[1] - 1) % p in sq:
+        elif kind == "split" and h[name[1]] == h[name[1] - 1] == 2:
             if name[2] == 1:
                 out.append((8, name[1], (i,)))
             else:
@@ -455,7 +456,7 @@ def dihedral_row_unions(model):
         if name[0] != "split" or name[1] in done:
             continue
         xi = name[1]
-        if xi not in sq and (xi - 1) % p not in sq:
+        if h[xi] == h[xi - 1] == 0:
             done.add(xi)
             out.append((2, xi, (model.names[("split", xi, 1)],
                                 model.names[("split", xi, -1)])))
@@ -514,13 +515,13 @@ def _axis_solutions(p, y, x, want):
 
 def dihedral_row_data(model, row, xi=None):
     p = model.p
-    sq = squares(p)
+    h = root_counts(p)
     half = (p - 1) // 2
     xs = sorted(x for x in model.orbits if x != INF)
     if row in (3, 4):
         want = SQUARE if row == 3 else NONSQUARE
         d_inf = half
-        d_inf_x = {x: 2 if (x in sq) == (row == 3) else 0 for x in xs}
+        d_inf_x = {x: 2 if (h[x] == 2) == (row == 3) else 0 for x in xs}
         d_in = {y: len(_axis_solutions(p, y, y, want)) for y in xs}
         d_cross = {(y, x): len(_axis_solutions(p, y, x, want))
                    for y in xs for x in xs if y < x}
@@ -532,8 +533,8 @@ def dihedral_row_data(model, row, xi=None):
             d_inf_x = {x: 2 if row in (1, 2) else 1 for x in xs}
         else:
             one = 1 if row in (6, 7) else 2
-            cls = SQUARE if row in (6, 8) else NONSQUARE
-            d_inf_x = {x: one if classify(x, p) == cls else 0 for x in xs}
+            d_inf_x = {x: one if (h[x] == 2) == (row in (6, 8)) else 0
+                       for x in xs}
         d_in = {y: len(_eta_solutions(p, xi, y, y, want)) for y in xs}
         d_cross = {(y, x): len(_eta_solutions(p, xi, y, x, want))
                    for y in xs for x in xs if y < x}
@@ -567,18 +568,15 @@ def split_edge_table(p):
 
     Returns {xi: (plus, plus_good, minus, minus_good)} as frozensets.
     """
-    sq = squares(p)
-    sq0 = sq | {0}
+    h = root_counts(p)
     roots = sorted(primitive_roots(p))
     table = {}
-    for xi in sorted(x for x in sq0 if x in sq0 and (x - 1) % p in sq0):
-        if xi in (0, 1):
-            continue
+    for xi in (x for x in range(2, p) if h[x] and h[x - 1]):
         row = []
         for sign in (1, -1):
             disc = lambda t: (pow(t, 4, p) + sign * 2 * (1 - 2 * xi) * t * t
                               + 1) % p
-            tset = frozenset(t for t in roots if disc(t) in sq0)
+            tset = frozenset(t for t in roots if h[disc(t)])
             good = set()
             for t in tset:
                 x = t * t % p
@@ -588,7 +586,7 @@ def split_edge_table(p):
                     if den == 0:
                         continue
                     eta = (1 - 2 * pow(den, -1, p)) % p
-                    if eta in sq:
+                    if h[eta] == 2:
                         good.add(t)
             row += [tset, frozenset(good)]
         table[xi] = tuple(row)

@@ -169,7 +169,9 @@ def dihedral_union_labels(model):
 
 
 # The coset spaces and models behind the action families, built once per
-# parameter set and shared by every orbital graph drawn from them.
+# parameter set and shared by every orbital graph drawn from them. They
+# stay unbounded: they are keyed by family parameters, so a survey up to
+# order 255 holds four and a single instance one.
 
 @lru_cache(maxsize=None)
 def _triple_space():

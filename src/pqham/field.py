@@ -3,7 +3,9 @@ and the residue-counting identities that drive the quotient analysis."""
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
+from operator import mul, not_
 
 ZERO = "zero"
 SQUARE = "square"
@@ -57,17 +59,32 @@ def classify(a, p):
     return SQUARE if pow(a, (p - 1) // 2, p) == 1 else NONSQUARE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
+def root_counts(p):
+    """The number of square roots of each residue mod p, as bytes of
+    length p: 1 at zero, 2 at a nonzero square, 0 at a nonsquare. The
+    module's only cache; a single query asks classify instead."""
+    h = bytearray(p)
+    # x and p - x have one square, so half the residues reach them all
+    for x in range(1, p // 2 + 1):
+        h[x * x % p] = 2
+    h[0] = 1
+    return bytes(h)
+
+
+# bytes.translate tables from root counts to the indicators of S*, N*
+_IS_SQUARE = bytes.maketrans(b"\0\1\2", b"\0\0\1")
+_IS_NONSQUARE = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+
+
 def squares(p):
     """The set S* of nonzero squares mod p."""
-    # x and p - x have one square, so half the residues reach them all
-    return frozenset(x * x % p for x in range(1, p // 2 + 1))
+    return frozenset(compress(range(1, p), root_counts(p)[1:]))
 
 
 def nonsquares(p):
     """The set N* = F* \\ S*."""
-    sq = squares(p)
-    return frozenset(x for x in range(1, p) if x not in sq)
+    return frozenset(compress(range(p), map(not_, root_counts(p))))
 
 
 def sqrt_mod(a, p):
@@ -114,7 +131,6 @@ def sqrt_minus_one(p):
     return roots[0]
 
 
-@lru_cache(maxsize=None)
 def primitive_roots(p):
     """All generators of F_p*, as a frozenset."""
     n = p - 1
@@ -122,8 +138,7 @@ def primitive_roots(p):
     g = next(
         g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in qs)
     )
-    cop = [k for k in range(1, n) if gcd(k, n) == 1]
-    return frozenset(pow(g, k, p) for k in cop) | {g}
+    return frozenset(pow(g, k, p) for k in range(1, n) if gcd(k, n) == 1)
 
 
 @dataclass(frozen=True)
@@ -139,18 +154,16 @@ class ResidueIntersections:
 
 
 def residue_intersections(p):
-    sq = squares(p)
-    nsq = nonsquares(p)
-    sq1 = {(x + 1) % p for x in sq}
-    ns1 = {(x + 1) % p for x in nsq}
-    nm1 = {(x - 1) % p for x in nsq}
-    minus_s = {(-x) % p for x in sq}
+    h = root_counts(p)
+    s, n = h.translate(_IS_SQUARE), h.translate(_IS_NONSQUARE)
+    # A+1's indicator is A's rotated one place right, A-1's one place
+    # left; x+1 and -x both lie in S* when x and p-1-x do
     return ResidueIntersections(
-        s_s_plus=len(sq & sq1),
-        n_n_plus=len(nsq & ns1),
-        s_n_plus=len(sq & ns1),
-        s_n_minus=len(sq & nm1),
-        splus_cap_minus_s=len(sq1 & minus_s),
+        s_s_plus=sum(map(mul, s, s[-1:] + s[:-1])),
+        n_n_plus=sum(map(mul, n, n[-1:] + n[:-1])),
+        s_n_plus=sum(map(mul, s, n[-1:] + n[:-1])),
+        s_n_minus=sum(map(mul, s, n[1:] + n[:1])),
+        splus_cap_minus_s=sum(map(mul, s, s[::-1])),
     )
 
 
@@ -159,21 +172,15 @@ def sum_two_squares_count(k, p):
     k %= p
     if k == 0:
         raise ValueError("k must be nonzero")
-    sq = squares(p)
-    total = 0
-    for x in range(p):
-        t = (k - x * x) % p
-        if t == 0:
-            total += 1
-        elif t in sq:
-            total += 2
-    return total
+    h = root_counts(p)
+    # the sum over a of h[a] * h[k - a], h[k - a] listed for a = 0..p-1
+    return sum(map(mul, h, h[k::-1] + h[:k:-1]))
 
 
 def square_witness_set(p):
     """T = {z in F* : 1 + z^2 in S*}."""
-    sq = squares(p)
-    return frozenset(z for z in range(1, p) if (1 + z * z) % p in sq)
+    h = root_counts(p)
+    return frozenset(z for z in range(1, p) if h[(1 + z * z) % p] == 2)
 
 
 def triple_square_witness(x, p):
@@ -189,8 +196,7 @@ def triple_square_witness(x, p):
     if x == 0:
         raise ValueError("x must be nonzero")
     i = sqrt_minus_one(p)
-    sq = squares(p)
     for z in (x, i * x % p, i * x * x % p):
-        if (1 + z * z) % p in sq:
+        if classify(1 + z * z, p) == SQUARE:
             return z
     raise AssertionError("no witness among the three candidates (impossible)")

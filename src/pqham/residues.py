@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from .field import is_prime, prime_factors, primitive_roots, squares
+from .field import is_prime, prime_factors, primitive_roots, root_counts
 
 
 def _check_sequence(seq):
@@ -271,10 +271,9 @@ def primitive_square_witness(c4, c2, c0, p):
     zero mod p; None if there is none."""
     if c0 % p == 0:
         raise ValueError("constant term must be nonzero")
-    sq = squares(p)
+    h = root_counts(p)
     for b in sorted(primitive_roots(p)):
-        v = (c4 * b**4 + c2 * b**2 + c0) % p
-        if v == 0 or v in sq:
+        if h[(c4 * b**4 + c2 * b**2 + c0) % p]:
             return b
     return None
 
@@ -282,15 +281,10 @@ def primitive_square_witness(c4, c2, c0, p):
 def quartic_exceptions(p):
     """All k for which b^4 + k*b^2 + 1 is a non-square at every
     primitive root b."""
-    sq = squares(p)
-    roots = sorted(primitive_roots(p))
-    pows = [(b * b % p, pow(b, 4, p)) for b in roots]
-    out = set()
-    for k in range(p):
-        if not any((b4 + k * b2 + 1) % p in sq or (b4 + k * b2 + 1) % p == 0
-                   for b2, b4 in pows):
-            out.add(k)
-    return out
+    h = root_counts(p)
+    pows = [(b * b % p, pow(b, 4, p)) for b in primitive_roots(p)]
+    return {k for k in range(p)
+            if not any(h[(b4 + k * b2 + 1) % p] for b2, b4 in pows)}
 
 
 def exceptional_xi(p, k, conjugate=False):
@@ -298,7 +292,7 @@ def exceptional_xi(p, k, conjugate=False):
     conjugate) provided xi lands in S* cap S*+1; None otherwise."""
     inv4 = pow(4, p - 2, p)
     xi = (2 - k) * inv4 % p if not conjugate else (2 + k) * inv4 % p
-    sq = squares(p)
-    if xi in sq and (xi - 1) % p in sq:
+    h = root_counts(p)
+    if h[xi] == h[xi - 1] == 2:
         return xi
     return None

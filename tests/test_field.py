@@ -1,6 +1,13 @@
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_field as ref
+from pqham import field
 from pqham.field import (
     NONSQUARE,
     SQUARE,
@@ -196,3 +203,39 @@ def test_triple_square_witness_all_x():
         t = square_witness_set(p)
         for x in range(1, p):
             assert triple_square_witness(x, p) in t
+
+
+def test_counts_match_set_and_loop_oracles_below_1000():
+    for p in range(3, 1000, 2):
+        if not is_prime(p):
+            continue
+        assert squares(p) == ref.squares(p), p
+        assert nonsquares(p) == ref.nonsquares(p), p
+        assert (astuple(residue_intersections(p))
+                == astuple(ref.residue_intersections(p))), p
+        want = ref.two_squares_counts(p)
+        assert [sum_two_squares_count(k, p) for k in range(1, p)] == want[1:], p
+        assert square_witness_set(p) == ref.square_witness_set(p), p
+
+
+RETAINED = """
+import gc, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from pqham.field import is_prime, nonsquares, residue_intersections, squares
+primes = [p for p in range(3, 10 ** 4, 2) if is_prime(p)][:150]
+tracemalloc.start()
+for p in primes:
+    squares(p), nonsquares(p), residue_intersections(p)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_residue_questions_retain_bounded_memory():
+    # a fresh interpreter, so that no earlier test has filled a cache; the
+    # 150 primes run up to 877, and a set of each prime's squares kept
+    # alive would retain megabytes
+    src = str(Path(field.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", RETAINED, src],
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 256_000

@@ -75,3 +75,55 @@ def test_package_reads_no_environment():
         if uses:
             found[path.name] = uses
     assert found == {}
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def caches(tree):
+    """(function, bound) for each function in tree decorated with
+    functools' lru_cache or cache, the bound as source text: "None" for
+    an unbounded cache, "128" for a bare lru_cache."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else func.id
+            if name not in CACHE_DECORATORS:
+                continue
+            if name == "cache":
+                bound = "None"
+            elif call and (call.args or call.keywords):
+                bound = ast.unparse(call.args[0] if call.args
+                                    else call.keywords[0].value)
+            else:
+                bound = "128"
+            found.append((node.name, bound))
+    return found
+
+
+def test_caches_finds_each_form():
+    tree = ast.parse("@lru_cache(maxsize=None)\ndef a(): pass\n"
+                     "@functools.lru_cache(4)\ndef b(): pass\n"
+                     "@lru_cache\ndef c(): pass\n"
+                     "@cache\ndef d(): pass\n"
+                     "@property\ndef e(): pass\n")
+    assert caches(tree) == [("a", "None"), ("b", "4"), ("c", "128"),
+                            ("d", "None")]
+
+
+def test_caches_are_bounded_but_the_engine_space_builders():
+    # the engine's builders are keyed by family parameters, so a run holds
+    # a handful of them; field keeps one table per prime under a fixed bound
+    found = {}
+    for path in sorted(DIRECTORIES[0].glob("*.py")):
+        for name, bound in caches(ast.parse(path.read_text())):
+            found["%s.%s" % (path.stem, name)] = bound
+    assert sorted(n for n, b in found.items() if b == "None") == [
+        "engine._dihedral_model", "engine._omega_model", "engine._psl2_space",
+        "engine._triple_space"]
+    in_field = [b for n, b in found.items() if n.startswith("field.")]
+    assert len(in_field) == 1 and in_field[0].isdigit()
