@@ -15,9 +15,7 @@ from .actions import (
     alternating_triple_space,
     dihedral_model,
     dihedral_row_unions,
-    omega_graph,
     omega_model,
-    orbital_graph,
     psl2_coset_space,
     psl2_subgroup_scan,
 )
@@ -34,6 +32,7 @@ from .graphs import (
     gp,
     hamilton_cycle,
     hamilton_path,
+    orbit_graph,
     verify_hamilton_cycle,
 )
 from .quotients import lift_closed_walk, quotient
@@ -168,29 +167,35 @@ def dihedral_union_labels(model):
     return out
 
 
-# The coset spaces and models behind the action families, built once per
-# parameter set and shared by every orbital graph drawn from them. They
-# stay unbounded: they are keyed by family parameters, so a survey up to
-# order 255 holds four and a single instance one.
-
-@lru_cache(maxsize=None)
-def _triple_space():
-    return alternating_triple_space()
+# what the last parameter of a descriptor names, per action family
+_GRAPH_NAMES = {"triple": "suborbit of size", "dihedral": "union",
+                "psl2sub": "suborbit", "omega": "suborbit with value"}
 
 
 @lru_cache(maxsize=None)
-def _dihedral_model(p):
-    return dihedral_model(p)
-
-
-@lru_cache(maxsize=None)
-def _psl2_space(p, oa, ob, oab, size):
-    return psl2_coset_space(p, *psl2_subgroup_scan(p, oa, ob, oab, size))
-
-
-@lru_cache(maxsize=None)
-def _omega_model(q):
-    return omega_model(q)
+def _action_family(family, key):
+    """(action, rows) for an action family at the descriptor's parameters
+    but the last, shared by every graph drawn from it: rows maps each
+    graph name to the base point's neighbourhood, a triple or psl2sub
+    suborbit joined with its paired one. Unbounded, as it is keyed by
+    family parameters: a survey up to order 255 holds four entries."""
+    if family == "omega":
+        model = omega_model(*key)
+        return model.action, model.suborbits
+    if family == "dihedral":
+        model = dihedral_model(*key)
+        sp = model.space
+        unions = {label: union for label, (_, _, union)
+                  in dihedral_union_labels(model).items()}
+    else:
+        sp = (alternating_triple_space(*key) if family == "triple" else
+              psl2_coset_space(key[0], *psl2_subgroup_scan(*key)))
+        unions = {s.size if family == "triple" else s.index:
+                  {s.index, s.paired}
+                  for s in sp.suborbits if s.points != (sp.base,)}
+    return sp.action, {name: tuple(sorted(v for i in union
+                                          for v in sp.suborbits[i].points))
+                       for name, union in unions.items()}
 
 
 def build_instance(desc):
@@ -206,35 +211,13 @@ def build_instance(desc):
         g = metacirculant(params[0])
     elif fam == "fermat":
         g = fermat_graph(params[0])
-    elif fam == "triple":
-        sp = _triple_space()
-        sizes = {s.size: s.index for s in sp.suborbits
-                 if s.points != (sp.base,)}
-        if params[0] not in sizes:
-            raise ValueError("no suborbit of size %r; have %s"
-                             % (params[0], sorted(sizes)))
-        g = orbital_graph(sp, (sizes[params[0]],))
-    elif fam == "dihedral":
-        p, label = params
-        model = _dihedral_model(p)
-        labels = dihedral_union_labels(model)
-        if label not in labels:
-            raise ValueError("unknown union %r; have %s"
-                             % (label, sorted(labels)))
-        _, _, union = labels[label]
-        g = orbital_graph(model.space, union)
-    elif fam == "psl2sub":
-        *key, idx = params
-        sp = _psl2_space(*key)
-        if not 0 <= idx < len(sp.suborbits):
-            raise ValueError("no suborbit %d; have 0..%d"
-                             % (idx, len(sp.suborbits) - 1))
-        sub = sp.suborbits[idx]
-        union = (idx,) if sub.self_paired else (idx, sub.paired)
-        g = orbital_graph(sp, union)
-    elif fam == "omega":
-        q, lam = params
-        g = omega_graph(_omega_model(q), lam)
+    elif fam in _GRAPH_NAMES:
+        *key, name = params
+        action, rows = _action_family(fam, tuple(key))
+        if name not in rows:
+            raise ValueError("no %s %r; have %s"
+                             % (_GRAPH_NAMES[fam], name, sorted(rows)))
+        g = orbit_graph(action, rows[name])
     else:
         raise ValueError("unknown family %r" % fam)
     return g, g._automorphisms[0]
@@ -365,41 +348,57 @@ class SurveyRow:
     seconds: float
 
 
-def survey_descriptors(max_order):
-    """All implemented instances of order <= max_order, in a
-    deterministic order."""
-    out = []
-    pet = MetacirculantSpec(2, 5, 2, (frozenset({1, 4}), frozenset({0})))
-    if 10 <= max_order:
-        out.append(Descriptor("metacirculant", (pet,)))
-    if 15 <= max_order:
-        out.append(Descriptor("fermat",
-                              (FermatSpec(5, 3, frozenset(), frozenset({1})),)))
-    if 21 <= max_order:
-        out.append(Descriptor("metacirculant",
-                              (MetacirculantSpec(3, 7, 2, (frozenset({1, 6}),
-                                                           frozenset({0, 3}))),)))
+# The hand-picked metacirculant and Fermat instances of the survey.
+_SURVEY_SPECS = (
+    MetacirculantSpec(2, 5, 2, (frozenset({1, 4}), frozenset({0}))),
+    FermatSpec(5, 3, frozenset(), frozenset({1})),
+    MetacirculantSpec(3, 7, 2, (frozenset({1, 6}), frozenset({0, 3}))),
+    FermatSpec(17, 3, frozenset(), frozenset({1})),
+    FermatSpec(17, 5, frozenset({1, 4}), frozenset({1, 2})),
+)
+
+
+def _survey_keys(max_order):
+    """(order, family, key) for each key of order at most max_order of
+    the paper's action families: A7 on triples; omega(q) for
+    (q^2+1)/2 prime; dihedral(p) for p = 1 (mod 4), p >= 13, (p+1)/2
+    prime; PSL(2,13) on the cosets of A4 and PSL(2,61) on those of A5."""
     if 35 <= max_order:
-        for size in (4, 12, 18):
-            out.append(Descriptor("triple", (size,)))
-    if 51 <= max_order:
-        out.append(Descriptor("fermat",
-                              (FermatSpec(17, 3, frozenset(), frozenset({1})),)))
-    if 65 <= max_order:
-        for lam in (0, 1, 2):
-            out.append(Descriptor("omega", (5, lam)))
-    if 85 <= max_order:
-        out.append(Descriptor("fermat",
-                              (FermatSpec(17, 5, frozenset({1, 4}),
-                                          frozenset({1, 2})),)))
-    if 91 <= max_order:
-        for label in sorted(dihedral_union_labels(_dihedral_model(13))):
-            out.append(Descriptor("dihedral", (13, label)))
-        sp = _psl2_space(13, 2, 3, 3, 12)
-        for s in sp.suborbits:
-            if s.size > 1 and s.self_paired:
-                out.append(Descriptor("psl2sub", (13, 2, 3, 3, 12, s.index)))
-    return out
+        yield 35, "triple", ()
+    q = 5
+    while q * (q * q + 1) // 2 <= max_order:
+        if is_prime(q) and is_prime((q * q + 1) // 2):
+            yield q * (q * q + 1) // 2, "omega", (q,)
+        q += 2
+    p = 13
+    while p * (p + 1) // 2 <= max_order:
+        if is_prime(p) and is_prime((p + 1) // 2):
+            yield p * (p + 1) // 2, "dihedral", (p,)
+        p += 4
+    for key in ((13, 2, 3, 3, 12), (61, 2, 3, 5, 60)):
+        order = key[0] * (key[0] ** 2 - 1) // (2 * key[-1])
+        if order <= max_order:
+            yield order, "psl2sub", key
+
+
+def survey_descriptors(max_order):
+    """The survey's instances of order <= max_order, stably sorted by
+    order: the hand-picked metacirculant and Fermat specs, then every
+    graph of the action families _survey_keys lists, one descriptor per
+    distinct graph, by its least name."""
+    found = [(s.m * s.n, Descriptor("metacirculant", (s,)))
+             if isinstance(s, MetacirculantSpec)
+             else (s.p * s.q, Descriptor("fermat", (s,)))
+             for s in _SURVEY_SPECS]
+    found = [f for f in found if f[0] <= max_order]
+    for order, family, key in _survey_keys(max_order):
+        least = {}  # row -> its least name
+        for name, row in sorted(_action_family(family, key)[1].items()):
+            least.setdefault(row, name)
+        found += [(order, Descriptor(family, key + (name,)))
+                  for name in least.values()]
+    found.sort(key=lambda f: f[0])
+    return [desc for _, desc in found]
 
 
 def survey(max_order, budget=DEFAULT_BUDGET):

@@ -20,7 +20,14 @@ from pqham.engine import (
     survey_descriptors,
     verify,
 )
-from pqham.actions import orbital_graph, psl2_coset_space, psl2_subgroup_scan
+from pqham.actions import (
+    alternating_triple_space,
+    dihedral_model,
+    omega_model,
+    orbital_graph,
+    psl2_coset_space,
+    psl2_subgroup_scan,
+)
 from pqham.families import FermatSpec, MetacirculantSpec
 from pqham.graphs import BudgetExceeded, Graph, gp
 
@@ -61,6 +68,21 @@ def test_build_instance_rejects_a_triple_size_without_a_suborbit():
     for size in (1, 5):
         with pytest.raises(ValueError, match=r"have \[4, 12, 18\]"):
             build_instance(Descriptor("triple", (size,)))
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("dihedral", (13, "S99"),
+     "no union 'S99'; have ['S2', 'S3', 'S4+', 'S4-', 'S5', 'S6', 'S7', "
+     "'axis+', 'axis-']"),
+    ("psl2sub", (13, 2, 3, 3, 12, 0),
+     "no suborbit 0; have [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    ("omega", (5, 3), "no suborbit with value 3; have [0, 1, 2]"),
+], ids=["dihedral", "psl2sub", "omega"])
+def test_build_instance_names_the_graphs_an_action_has(family, params,
+                                                       message):
+    with pytest.raises(ValueError) as e:
+        build_instance(Descriptor(family, params))
+    assert str(e.value) == message
 
 
 def test_dihedral_labels_13():
@@ -134,7 +156,7 @@ def test_prove_strategies():
     assert direct == ["triple(4)", "dihedral(13,S4+)", "dihedral(13,S4-)",
                       "psl2sub(13,2,3,3,12,9)", "psl2sub(13,2,3,3,12,10)"]
     assert Counter(r.strategy for r in rows) == \
-        {"quotient-lift": 22, "direct-search": 5, "-": 1}
+        {"quotient-lift": 23, "direct-search": 5, "-": 1}
     assert [r.status for r in rows].count("exception") == 1
 
 
@@ -274,6 +296,50 @@ def test_survey_proofs_do_not_reprove_rho(monkeypatch):
             prove(desc)
         except NotHamiltonianException:
             assert desc == PETERSEN
+
+
+def _brute_survey(max_order):
+    """Every orbital graph of the paper's action families of order at
+    most max_order, from each family's space or model: one per
+    nontrivial self-paired suborbit and one per paired couple at the
+    lower index (dihedral: one per union label), with the five
+    hand-picked specs, stably sorted by order."""
+    primes = [n for n in range(3, 100) if all(n % d for d in range(2, n))]
+    found = [(10, "metacirculant(m=2,n=5,alpha=2)"), (15, "fermat(p=5,q=3)"),
+             (21, "metacirculant(m=3,n=7,alpha=2)"), (51, "fermat(p=17,q=3)"),
+             (85, "fermat(p=17,q=5)")]
+
+    def coset_rows(order, prefix, sp, label):
+        found.extend((order, "%s%s)" % (prefix, label(s)))
+                     for s in sorted(sp.suborbits, key=label)
+                     if s.size > 1 and s.index <= s.paired)
+
+    coset_rows(35, "triple(", alternating_triple_space(), lambda s: s.size)
+    for q in primes:
+        order = q * (q * q + 1) // 2
+        if q >= 5 and (q * q + 1) // 2 in primes and order <= max_order:
+            found += [(order, "omega(%d,%d)" % (q, lam))
+                      for lam in sorted(omega_model(q).suborbits)]
+    for p in primes:
+        order = p * (p + 1) // 2
+        if p % 4 == 1 and p >= 13 and (p + 1) // 2 in primes \
+                and order <= max_order:
+            found += [(order, "dihedral(%d,%s)" % (p, label)) for label
+                      in sorted(dihedral_union_labels(dihedral_model(p)))]
+    for p, orders, size in ((13, (2, 3, 3), 12), (61, (2, 3, 5), 60)):
+        order = p * (p * p - 1) // (2 * size)
+        if order <= max_order:
+            sp = psl2_coset_space(p, *psl2_subgroup_scan(p, *orders, size))
+            coset_rows(order, "psl2sub(%d,%d,%d,%d,%d," % (p, *orders, size),
+                       sp, lambda s: s.index)
+    found.sort(key=lambda f: f[0])
+    return [name for order, name in found if order <= max_order]
+
+
+@pytest.mark.parametrize("max_order", [255, 703, 1891])
+def test_survey_descriptors_list_every_graph_of_the_families(max_order):
+    assert [str(d) for d in survey_descriptors(max_order)] == \
+        _brute_survey(max_order)
 
 
 def test_survey_descriptors_growth():

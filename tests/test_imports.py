@@ -116,14 +116,14 @@ def test_caches_finds_each_form():
 
 
 def test_caches_are_bounded_but_the_engine_space_builders():
-    # the engine's builders are keyed by family parameters, so a run holds
-    # a handful of them; field keeps one table per prime under a fixed bound
+    # the engine's one action-family table is keyed by family parameters,
+    # so a run holds a handful of entries; field keeps one table per prime
+    # under a fixed bound
     found = {}
     for path in sorted(DIRECTORIES[0].glob("*.py")):
         for name, bound in caches(ast.parse(path.read_text())):
             found["%s.%s" % (path.stem, name)] = bound
     assert sorted(n for n, b in found.items() if b == "None") == [
-        "engine._dihedral_model", "engine._omega_model", "engine._psl2_space",
-        "engine._triple_space"]
+        "engine._action_family"]
     in_field = [b for n, b in found.items() if n.startswith("field.")]
     assert len(in_field) == 1 and in_field[0].isdigit()

@@ -6,18 +6,28 @@ import hashlib
 
 import pytest
 
-from pqham.actions import dihedral_model, omega_model
+from pqham.actions import (
+    dihedral_model,
+    omega_model,
+    psl2_coset_space,
+    psl2_subgroup_scan,
+)
 from pqham.cli import main
 from pqham.engine import (
     Descriptor,
     NotHamiltonianException,
-    _omega_model,
-    _psl2_space,
     build_instance,
     format_certificate,
     prove,
     survey_descriptors,
 )
+
+# the two actions the large-actions pin draws its descriptors from
+_omega_model = omega_model
+
+
+def _psl2_space(p, *orders_and_size):
+    return psl2_coset_space(p, *psl2_subgroup_scan(p, *orders_and_size))
 
 
 def digest(text):
@@ -47,6 +57,7 @@ SURVEY_255 = {
     "dihedral(13,axis+)": "4b77dd2a2a318889",
     "dihedral(13,axis-)": "6cae78b3b7c7abd5",
     "psl2sub(13,2,3,3,12,1)": "37d059190dca3804",
+    "psl2sub(13,2,3,3,12,2)": "8327749e09c7f0b4",
     "psl2sub(13,2,3,3,12,3)": "7de4ad909b93f96e",
     "psl2sub(13,2,3,3,12,4)": "a3dadaea04f30854",
     "psl2sub(13,2,3,3,12,5)": "61fbcccb5e715e3c",
@@ -72,7 +83,7 @@ def test_rho_pinned():
     # every survey descriptor and gp(7,2)
     descs = survey_descriptors(255) + [Descriptor("gp", (7, 2))]
     text = repr([(str(d), tuple(build_instance(d)[1])) for d in descs])
-    assert digest(text) == "771603f88093c3f0"
+    assert digest(text) == "33e2c4af049702ee"
 
 
 def test_large_actions_certificates_pinned():
@@ -88,6 +99,20 @@ def test_large_actions_certificates_pinned():
     assert len(descs) == 42
     text = "".join(format_certificate(prove(d)) for d in descs)
     assert digest(text) == "145f8617ded57002"
+
+
+def test_large_actions_are_the_surveys_psl2_61_and_omega_11_rows():
+    # the descriptors of the test above, by its own rule, are those
+    # survey_descriptors lists for the two actions
+    key = (61, 2, 3, 5, 60)
+    sp = _psl2_space(*key)
+    descs = [Descriptor("psl2sub", key + (s.index,)) for s in sp.suborbits
+             if s.points != (sp.base,) and s.index <= s.paired]
+    descs += [Descriptor("omega", (11, lam))
+              for lam in sorted(_omega_model(11).suborbits)]
+    listed = [d for d in survey_descriptors(1891)
+              if (d.family, d.params[0]) in (("psl2sub", 61), ("omega", 11))]
+    assert sorted(listed, key=str) == sorted(descs, key=str)
 
 
 @pytest.mark.parametrize("argv, expected", [
